@@ -1,16 +1,11 @@
 """Record the DES engine fast-path baseline (BENCH_engine.json).
 
-The engine fast path makes two measurable claims, and this script pins
-both down on the current machine:
-
-* **idle fast-forward** — replacing per-poll wakeups with one analytic
-  timeout must multiply wall throughput on idle-heavy soaks while the
-  summary stays byte-identical.  Measured per arm (``taichi``, whose
-  batched scheduler already amortizes polls, and ``static``, the
-  poll-every-tick worst case) as interleaved best-of-N fast vs stepped.
-* **scheduler queue** — the calendar queue must match the binary heap's
-  pop order exactly (enforced by tests); here we record its relative
-  wall cost so regressions in either implementation are visible.
+The engine fast path claims an **idle fast-forward**: replacing
+per-poll wakeups with one analytic timeout must multiply wall throughput
+on idle-heavy soaks while the summary stays byte-identical.  This script
+measures it per arm (``taichi``, whose batched scheduler already
+amortizes polls, and ``static``, the poll-every-tick worst case) as
+interleaved best-of-N fast vs stepped on the current machine.
 
 Usage::
 
@@ -77,29 +72,6 @@ def measure_fast_forward(arm, rounds):
     }
 
 
-def measure_scheduler(rounds):
-    """Heap vs calendar queue wall cost on the taichi fast-path soak."""
-    times = {"heap": [], "calendar": []}
-    events = {}
-    for _ in range(rounds):
-        for name in ("heap", "calendar"):
-            summary, wall = _soak("taichi", EngineConfig(scheduler=name))
-            times[name].append(wall)
-            events[name] = summary["engine"]["events_processed"]
-    assert events["heap"] == events["calendar"], (
-        "scheduler queues disagreed on the event count: "
-        f"{events['heap']} heap vs {events['calendar']} calendar")
-    heap_rate = events["heap"] / min(times["heap"])
-    calendar_rate = events["calendar"] / min(times["calendar"])
-    return {
-        "rounds": rounds,
-        "events_processed": events["heap"],
-        "events_per_second_heap": round(heap_rate),
-        "events_per_second_calendar": round(calendar_rate),
-        "calendar_vs_heap": round(calendar_rate / heap_rate, 2),
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_engine.json")
@@ -119,18 +91,11 @@ def main(argv=None):
               f"{result['skipped_ratio']:.1%}, identical="
               f"{result['summary_identical']})")
 
-    print("measuring scheduler queues (heap vs calendar)...")
-    schedulers = measure_scheduler(args.rounds)
-    print(f"  heap {schedulers['events_per_second_heap'] / 1e3:.0f}k ev/s, "
-          f"calendar {schedulers['events_per_second_calendar'] / 1e3:.0f}k "
-          f"ev/s ({schedulers['calendar_vs_heap']}x)")
-
     baseline = {
         "benchmark": "engine",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "fast_forward": arms,
-        "schedulers": schedulers,
         "gate": {"min_speedup": 3.0,
                  "enforced_by": "benchmarks/test_bench_engine.py"},
     }

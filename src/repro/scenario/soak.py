@@ -1,18 +1,33 @@
-"""The shared production-soak driver: one Scenario, one board, one summary.
+"""The production-soak driver: one Scenario, one board, one summary.
 
 This is the simulation shape the paper's Section 6.6 production story
 rests on — bursty DP background at a fixed offered load, CP hum, tenant
 latency probes against the accelerator, VM-creation storms through the
-host/eNIC lifecycle, then a drain window for in-flight startups.  It
-used to live twice (``fleet.node._simulate`` and ``ext_production_soak``
-each carried a copy); both now call :func:`run_soak` with a
+host/eNIC lifecycle, then a drain window for in-flight startups.  The
+fleet node worker, ``ext_production_soak``, ``ext_multitenant`` and the
+``soak`` CLI all call :func:`run_soak` with a
 :class:`~repro.scenario.spec.Scenario`.
+
+Tenants are one abstraction over the pooled board, not a second driver.
+A scenario that declares ``tenants`` installs a
+:class:`~repro.tenancy.manager.TenancyManager` and runs one copy of the
+load shape per tenant: DP background on the tenant's own rx queues, CP
+hum and VM storms bound to the tenant's CP affinity through its own
+:class:`~repro.cp.device_mgmt.DeviceManager`, and probes tagged with the
+tenant id.  A tenant-less scenario is the same loop over one implicit
+whole-board tenant.  The summary keeps every pooled key either way; a
+multi-tenant run adds ``summary["tenants"][tid]`` blocks (sketches and
+counts, never raw sample arrays — they ship through fleet JSON) and a
+``summary["tenancy"]`` ledger view.
 
 Determinism contract: the summary is a pure function of
 ``(scenario, seed, windows)`` — no wall clock, no process-global state.
-The RNG stream names (``fleet-probe``, ``fleet-storms``) and process
-names are part of that contract: they seed the per-purpose substreams,
-so renaming them would silently re-draw every published fleet number.
+The RNG stream names seed the per-purpose substreams, so renaming them
+would silently re-draw every published number.  The whole-board tenant
+keeps the names that predate tenancy (``dp-background``,
+``cp-background``, ``fleet-probe``, ``fleet-storms``, ``device-mgmt``)
+and probes the nominal eight ``("net", q, 0)`` queues; a declared tenant
+draws from ``tenant-<id>-{dp,cp,probe,storms}`` and ``device-mgmt-<id>``.
 """
 
 from repro.hw.host import HostNode, VMSpec
@@ -30,8 +45,98 @@ _SAMPLE_CAP = 50_000
 #: DP partition size, so a board that repartitions CPUs (``dp_boost``, or
 #: type-2 losing one to QEMU) sees the *same* total traffic spread over
 #: its actual service count — capacity changes show up in latency, not in
-#: offered work.
+#: offered work.  A tenant's mix is scaled the same way.
 _NOMINAL_DP_SERVICES = 8
+
+#: Stream names of the implicit whole-board tenant (see the module doc).
+_WHOLE_BOARD_STREAMS = {
+    "dp": "dp-background",
+    "cp": "cp-background",
+    "probe": "fleet-probe",
+    "storms": "fleet-storms",
+    "device": "device-mgmt",
+}
+
+
+class _ProbeBook:
+    """Probe latencies scored against one SLO: samples, count, sketch."""
+
+    def __init__(self, name, slo_us, channel, alpha):
+        self.latency = LatencyRecorder(name=name, cap=_SAMPLE_CAP)
+        self.slo_us = slo_us
+        self.within = 0
+        # With a telemetry bus the channel's cumulative sketch *is* the
+        # summary sketch, so it accumulates identically with the bus on
+        # or off.
+        self.channel = channel
+        self.sketch = channel.cumulative if channel is not None \
+            else QuantileSketch(alpha)
+
+    def record(self, latency_ns):
+        self.latency.record(latency_ns)
+        latency_us = latency_ns / MICROSECONDS
+        if latency_us <= self.slo_us:
+            self.within += 1
+        if self.channel is not None:
+            self.channel.observe(latency_us)
+        else:
+            self.sketch.add(latency_us)
+
+
+class _Load:
+    """One tenant's load shape and books during a soak.
+
+    ``runtime`` is the tenant's
+    :class:`~repro.tenancy.manager.TenantRuntime`, or None for the
+    implicit whole-board tenant of a tenant-less scenario.
+    """
+
+    def __init__(self, scenario, deployment, runtime, dp_slo_us):
+        self.deployment = deployment
+        self.runtime = runtime
+        self.host = None
+        self.book = None
+        if runtime is None:
+            self.tenant_id = None
+            self.mix = scenario.workload
+            self.traffic = scenario.traffic
+            self.dp_slo_us = dp_slo_us
+            self.probe_queues = [("net", queue, 0)
+                                 for queue in range(_NOMINAL_DP_SERVICES)]
+            return
+        spec = runtime.spec
+        self.tenant_id = runtime.tenant_id
+        self.mix = spec.workload or scenario.workload
+        self.traffic = spec.traffic or scenario.traffic
+        self.dp_slo_us = spec.dp_slo_us if spec.dp_slo_us is not None \
+            else dp_slo_us
+        self.probe_queues = [service.queue_ids[0]
+                             for service in runtime.services]
+
+    # The board's services and CP affinity can change at warmup (dp_boost
+    # repartitions), so the whole-board tenant reads them when used.
+    @property
+    def services(self):
+        if self.runtime is None:
+            return self.deployment.services
+        return self.runtime.services
+
+    @property
+    def cp_affinity(self):
+        if self.runtime is None:
+            return self.deployment.cp_affinity
+        return self.runtime.cp_affinity
+
+    def name(self, base):
+        """``base`` suffixed with the tenant id, if any."""
+        return base if self.tenant_id is None else f"{base}-{self.tenant_id}"
+
+    def stream(self, purpose):
+        if self.tenant_id is None:
+            return _WHOLE_BOARD_STREAMS[purpose]
+        if purpose == "device":
+            return f"device-mgmt-{self.tenant_id}"
+        return f"tenant-{self.tenant_id}-{purpose}"
 
 
 def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
@@ -41,15 +146,17 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
 
     ``fault_scale`` compresses the scenario's fault plan alongside a
     scaled duration; ``label`` names the board in the summary and its
-    probe recorder (the fleet runner passes the node id).
+    probe recorder (the fleet runner passes the node id).  ``dp_slo_us``
+    scores the pooled probes and every tenant that declares no SLO.
 
     ``telemetry`` is an optional
     :class:`~repro.obs.telemetry.TelemetryConfig`: when set (or when the
     scenario declares ``alerts``, which arms a default config), a
     :class:`~repro.obs.telemetry.TelemetryBus` samples the run on
     sim-time intervals — counter deltas, health gauges (run-queue depth,
-    grant occupancy, probe health, running SLO attainment), and sketch
-    deltas for dp rx-wait and VM-startup latency — and an
+    grant occupancy, probe health, running SLO attainment, and
+    ``tenant.<id>.*`` gauges per declared tenant), and sketch deltas for
+    dp rx-wait and VM-startup latency — and an
     :class:`~repro.obs.alerts.SLOMonitor` evaluates the scenario's alert
     rules against each snapshot.  Telemetry never changes the simulated
     schedule (ticks only read state), and the summary's quantile
@@ -64,14 +171,7 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
     event stream, so every other summary key is byte-identical to a
     spans-off run.
     """
-    if scenario.tenants:
-        from repro.tenancy.soak import run_tenant_soak
-
-        return run_tenant_soak(
-            scenario, seed=seed, duration_ns=duration_ns, drain_ns=drain_ns,
-            dp_slo_us=dp_slo_us, fault_scale=fault_scale, label=label,
-            telemetry=telemetry, spans=spans, exemplar_k=exemplar_k)
-
+    from repro.cp.device_mgmt import DeviceManager
     from repro.scenario.spec import TRAFFIC_PROFILES
     from repro.workloads.background import (
         start_cp_background, start_dp_background,
@@ -80,21 +180,44 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
     deployment = scenario.build(seed=seed, fault_scale=fault_scale)
     if spans:
         deployment.env.spans.enable(exemplar_k=exemplar_k)
-
-    mix = scenario.workload
-    per_service_util = min(
-        mix.dp_utilization * _NOMINAL_DP_SERVICES / len(deployment.services),
-        0.95)
-    start_dp_background(deployment, utilization=per_service_util,
-                        burstiness=TRAFFIC_PROFILES[scenario.traffic])
-    start_cp_background(deployment, n_monitors=mix.n_monitors,
-                        rolling_tasks=mix.rolling_tasks)
-    deployment.warmup()
     env = deployment.env
     board = deployment.board
-    host = HostNode(deployment)
 
-    probe_latency = LatencyRecorder(name=f"{label}-probe", cap=_SAMPLE_CAP)
+    tenancy = None
+    runtimes = [None]
+    if scenario.tenants:
+        from repro.tenancy.manager import TenancyManager
+
+        tenancy = TenancyManager(deployment, scenario.tenants,
+                                 isolation=scenario.tenant_isolation).install()
+        runtimes = tenancy.runtimes
+    loads = [_Load(scenario, deployment, runtime, dp_slo_us)
+             for runtime in runtimes]
+
+    for load in loads:
+        per_service_util = min(
+            load.mix.dp_utilization * _NOMINAL_DP_SERVICES
+            / len(deployment.services), 0.95)
+        start_dp_background(
+            deployment, utilization=per_service_util,
+            burstiness=TRAFFIC_PROFILES[load.traffic],
+            rng=deployment.rng.stream(load.stream("dp")),
+            queues=[service.queue_ids[0] for service in load.services],
+            label=load.name("dp-bg"), tenant=load.tenant_id)
+        start_cp_background(
+            deployment, n_monitors=load.mix.n_monitors,
+            rolling_tasks=load.mix.rolling_tasks,
+            rng=deployment.rng.stream(load.stream("cp")),
+            affinity=load.cp_affinity, name_prefix=load.tenant_id)
+    deployment.warmup()
+
+    for load in loads:
+        manager = DeviceManager(board, load.cp_affinity,
+                                rng=board.rng.stream(load.stream("device")))
+        load.host = HostNode(
+            deployment, manager=manager,
+            services=load.runtime.services if load.runtime else None,
+            tenant_id=load.tenant_id)
 
     # Streaming telemetry (optional).  Scenario-declared alert rules
     # imply a bus even when the driver didn't ask for one, so SLO
@@ -132,55 +255,57 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
                 telemetry.jsonl_path, cap=telemetry.jsonl_cap,
                 node_id=node_id))
 
-    # The dp rx-wait sketch accumulates on every probe completion whether
-    # or not a bus drains interval deltas from it — the summary's sketch
-    # is the same object either way.
-    dp_channel = (bus.channel("dp_rx_wait_us") if bus is not None else None)
-    dp_sketch = dp_channel.cumulative if dp_channel is not None \
-        else QuantileSketch(alpha)
-    dp_within_running = [0]
+    def channel(name):
+        return bus.channel(name) if bus is not None else None
 
-    def record_probe(event):
-        latency_ns = event.value.total_latency_ns
-        probe_latency.record(latency_ns)
-        latency_us = latency_ns / MICROSECONDS
-        if latency_us <= dp_slo_us:
-            dp_within_running[0] += 1
-        if dp_channel is not None:
-            dp_channel.observe(latency_us)
-        else:
-            dp_sketch.add(latency_us)
+    # The pooled book scores every probe; a declared tenant also keeps
+    # its own book (the whole-board tenant's book *is* the pooled one).
+    pooled = _ProbeBook(f"{label}-probe", dp_slo_us,
+                        channel("dp_rx_wait_us"), alpha)
+    for load in loads:
+        load.book = pooled if load.runtime is None else _ProbeBook(
+            f"{label}-probe-{load.tenant_id}", load.dp_slo_us,
+            channel(f"tenant.{load.tenant_id}.dp_rx_wait_us"), alpha)
 
-    def latency_probe():
-        rng = deployment.rng.stream("fleet-probe")
-        period_ns = mix.probe_period_us * MICROSECONDS
+    def latency_probe(load):
+        book = load.book
+
+        def record_probe(event):
+            latency_ns = event.value.total_latency_ns
+            pooled.record(latency_ns)
+            if book is not pooled:
+                book.record(latency_ns)
+
+        rng = deployment.rng.stream(load.stream("probe"))
+        period_ns = load.mix.probe_period_us * MICROSECONDS
+        queues = load.probe_queues
         while True:
-            queue = int(rng.integers(0, 8))
+            queue_id = queues[int(rng.integers(0, len(queues)))]
             done = env.event()
             done.callbacks.append(record_probe)
             board.accelerator.submit(IORequest(
-                PacketKind.NET_TX, 64, ("net", queue, 0),
-                service_ns=1_500, done=done))
+                PacketKind.NET_TX, 64, queue_id,
+                service_ns=1_500, done=done, tenant=load.tenant_id))
             yield env.timeout(int(rng.exponential(period_ns)))
 
-    env.process(latency_probe(), name="latency-probe")
-
-    def storm_source():
-        rng = deployment.rng.stream("fleet-storms")
+    def storm_source(load):
+        rng = deployment.rng.stream(load.stream("storms"))
+        mix = load.mix
         period_ns = mix.vm_period_ms * MILLISECONDS
         while True:
             yield env.timeout(int(rng.exponential(period_ns)))
             for _ in range(int(rng.integers(mix.vm_batch_min,
                                             mix.vm_batch_max + 1))):
-                host.create_vm(VMSpec(n_vblks=mix.vm_vblks))
+                load.host.create_vm(VMSpec(n_vblks=mix.vm_vblks))
 
-    env.process(storm_source(), name="storm-source")
+    for load in loads:
+        env.process(latency_probe(load), name=load.name("latency-probe"))
+        env.process(storm_source(load), name=load.name("storm-source"))
 
-    slo_ns = host.manager.params.startup_slo_ns
+    slo_ns = loads[0].host.manager.params.startup_slo_ns
     slo_ms = slo_ns / MILLISECONDS
     if bus is not None:
-        _wire_bus_gauges(bus, deployment, host, probe_latency,
-                         dp_within_running, slo_ns)
+        _wire_bus_gauges(bus, deployment, loads, pooled, slo_ns)
         bus.attach(env)
 
     deployment.run(env.now + duration_ns)
@@ -189,28 +314,13 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
     if bus is not None:
         bus.close(env.now)
 
-    dp_samples_us = [value / MICROSECONDS for value in probe_latency.samples]
+    dp_samples_us = [value / MICROSECONDS for value in pooled.latency.samples]
     dp_within = sum(1 for value in dp_samples_us if value <= dp_slo_us)
 
-    startups_ms = sorted(
-        vm.startup_time_ns() / MILLISECONDS for vm in host.vms
-        if vm.startup_time_ns() is not None)
-    startup_within = sum(1 for value in startups_ms if value <= slo_ms)
-    # A startup still pending past the SLO is a violation even though it
-    # never produced a sample — a saturated control plane must not score
-    # 100% by finishing almost nothing.  Requests younger than the SLO at
-    # stream end are censored (they still had time), not counted.
-    overdue_pending = sum(
-        1 for vm in host.vms
-        if vm.startup_time_ns() is None
-        and env.now - vm.request.t_issued > slo_ns)
+    all_vms = [vm for load in loads for vm in load.host.vms]
+    startups_ms, startup_within, overdue_pending = _startup_counts(
+        all_vms, env.now, slo_ns)
     startup_total = len(startups_ms) + overdue_pending
-
-    # Sketches the fleet ships in place of raw sample arrays.  The
-    # startup sketch is rebuilt from the *sorted* samples so its float
-    # ``sum`` is independent of VM completion order (and of whether a
-    # telemetry bus also streamed the same values as interval deltas).
-    startup_sketch = QuantileSketch(alpha).extend(startups_ms)
 
     injector = deployment.fault_injector
     summary = {
@@ -219,7 +329,7 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
         "traffic": scenario.traffic,
         "seed": seed,
         "dp_samples_us": dp_samples_us,
-        "dp_sample_count": probe_latency.count,
+        "dp_sample_count": pooled.latency.count,
         "dp_latency_us": summarize(dp_samples_us, qs=(50, 90, 99, 99.9)),
         "dp_slo_us": dp_slo_us,
         "dp_within_slo": dp_within,
@@ -234,16 +344,31 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
         "startup_slo_attainment_pct": attainment_pct(startup_within,
                                                      startup_total),
         "vms_started": len(startups_ms),
-        "vms_requested": len(host.vms),
+        "vms_requested": len(all_vms),
         "faults": {
             "injected": injector.injected if injector else 0,
             "cleared": injector.cleared if injector else 0,
         },
-        "dp_sketch": dp_sketch.to_dict(),
+        "dp_sketch": pooled.sketch.to_dict(),
         "dp_slo_total": len(dp_samples_us),
-        "startup_sketch": startup_sketch.to_dict(),
+        # Sketches the fleet ships in place of raw sample arrays.  The
+        # startup sketch is rebuilt from the *sorted* samples so its
+        # float ``sum`` is independent of VM completion order (and of
+        # whether a telemetry bus also streamed the same values).
+        "startup_sketch": QuantileSketch(alpha).extend(startups_ms).to_dict(),
         "engine": engine_summary(env),
     }
+    if tenancy is not None:
+        # Only added for declared tenants, so a tenant-less summary (and
+        # its fleet JSON) carries no tenant keys at all.
+        summary["tenancy"] = {
+            "isolation": tenancy.isolation,
+            "total_granted_ns": tenancy.total_granted_ns,
+        }
+        summary["tenants"] = {
+            load.tenant_id: _tenant_block(load, env.now, slo_ns, alpha)
+            for load in loads
+        }
     if spans:
         # Only added when spans are on, so a spans-off summary (and its
         # fleet JSON) stays byte-identical to previous releases.
@@ -265,6 +390,62 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
     return summary
 
 
+def _startup_counts(vms, now_ns, slo_ns):
+    """Sorted startup samples (ms), within-SLO count, overdue count.
+
+    A startup still pending past the SLO is a violation even though it
+    never produced a sample — a saturated control plane must not score
+    100% by finishing almost nothing.  Requests younger than the SLO at
+    stream end are censored (they still had time), not counted.
+    """
+    slo_ms = slo_ns / MILLISECONDS
+    startups_ms = sorted(
+        vm.startup_time_ns() / MILLISECONDS for vm in vms
+        if vm.startup_time_ns() is not None)
+    within = sum(1 for value in startups_ms if value <= slo_ms)
+    overdue = sum(
+        1 for vm in vms
+        if vm.startup_time_ns() is None
+        and now_ns - vm.request.t_issued > slo_ns)
+    return startups_ms, within, overdue
+
+
+def _tenant_block(load, now_ns, slo_ns, alpha):
+    """One tenant's summary block: sketches and counts, no raw arrays."""
+    runtime = load.runtime
+    book = load.book
+    dp_samples_us = [value / MICROSECONDS for value in book.latency.samples]
+    startups_ms, startup_within, overdue_pending = _startup_counts(
+        load.host.vms, now_ns, slo_ns)
+    startup_total = len(startups_ms) + overdue_pending
+    return {
+        "weight": runtime.weight,
+        "services": len(runtime.services),
+        "vcpus": len(runtime.vcpus),
+        "dp_sample_count": book.latency.count,
+        "dp_latency_us": summarize(dp_samples_us, qs=(50, 90, 99, 99.9)),
+        "dp_slo_us": load.dp_slo_us,
+        "dp_slo_declared": runtime.spec.dp_slo_us is not None,
+        "dp_within_slo": book.within,
+        "dp_slo_total": len(dp_samples_us),
+        "dp_slo_attainment_pct": attainment_pct(book.within,
+                                                len(dp_samples_us)),
+        "dp_sketch": book.sketch.to_dict(),
+        "startup_ms": summarize(startups_ms, qs=(50, 90, 99)),
+        "startup_slo_ms": slo_ns / MILLISECONDS,
+        "startup_within_slo": startup_within,
+        "startup_slo_total": startup_total,
+        "startup_overdue_pending": overdue_pending,
+        "startup_slo_attainment_pct": attainment_pct(startup_within,
+                                                     startup_total),
+        "startup_sketch": QuantileSketch(alpha).extend(startups_ms).to_dict(),
+        "vms_started": len(startups_ms),
+        "vms_requested": len(load.host.vms),
+        "granted_ns": runtime.granted_ns,
+        "grants": runtime.grants,
+    }
+
+
 def engine_summary(env):
     """Deterministic engine self-profile for the summary ``engine`` block.
 
@@ -284,18 +465,18 @@ def engine_summary(env):
         "events_skipped": profile["events_skipped"],
         "fast_forward_windows": profile["fast_forward_windows"],
         "skipped_ratio": profile["skipped_ratio"],
-        "scheduler": profile["scheduler"],
         "fast_forward": profile["fast_forward"],
     }
 
 
-def _wire_bus_gauges(bus, deployment, host, probe_latency, dp_within_running,
-                     slo_ns):
-    """Register board-health gauges and the VM-startup collector.
+def _wire_bus_gauges(bus, deployment, loads, pooled, slo_ns):
+    """Board-health gauges, the VM-startup collector, tenant gauges.
 
     Everything here *reads* simulation state — gauges and collectors
     must never mutate the schedule, or telemetry-on runs would diverge
-    from telemetry-off runs.
+    from telemetry-off runs.  Per-tenant gauges are named
+    ``tenant.<id>.*``, so declarative alert rules address a tenant with
+    no alert-code support.
     """
     env = deployment.env
     kernel = deployment.board.kernel
@@ -314,33 +495,60 @@ def _wire_bus_gauges(bus, deployment, host, probe_latency, dp_within_running,
         # same alert rules apply across arms.
         bus.add_gauge("probe_health", lambda: 1.0)
     bus.add_gauge("dp_slo_attainment_pct", lambda: attainment_pct(
-        dp_within_running[0], probe_latency.count))
+        pooled.within, pooled.latency.count))
 
     startup_channel = bus.channel("vm_startup_ms")
     seen = set()
     startup_state = {"within": 0, "completed": 0}
 
     def collect_startups(now_ns):
-        for vm in host.vms:
-            if id(vm) in seen:
-                continue
-            startup_ns = vm.startup_time_ns()
-            if startup_ns is None:
-                continue
-            seen.add(id(vm))
-            startup_channel.observe(startup_ns / MILLISECONDS)
-            startup_state["completed"] += 1
-            if startup_ns <= slo_ns:
-                startup_state["within"] += 1
+        for load in loads:
+            for vm in load.host.vms:
+                if id(vm) in seen:
+                    continue
+                startup_ns = vm.startup_time_ns()
+                if startup_ns is None:
+                    continue
+                seen.add(id(vm))
+                startup_channel.observe(startup_ns / MILLISECONDS)
+                startup_state["completed"] += 1
+                if startup_ns <= slo_ns:
+                    startup_state["within"] += 1
 
     bus.add_collector(collect_startups)
 
     def startup_attainment():
         overdue = sum(
-            1 for vm in host.vms
+            1 for load in loads for vm in load.host.vms
             if vm.startup_time_ns() is None
             and env.now - vm.request.t_issued > slo_ns)
         return attainment_pct(startup_state["within"],
                               startup_state["completed"] + overdue)
 
     bus.add_gauge("startup_slo_attainment_pct", startup_attainment)
+
+    for load in loads:
+        if load.runtime is None:
+            continue
+
+        def tenant_startup_attainment(load=load):
+            within = completed = overdue = 0
+            for vm in load.host.vms:
+                startup_ns = vm.startup_time_ns()
+                if startup_ns is None:
+                    if env.now - vm.request.t_issued > slo_ns:
+                        overdue += 1
+                    continue
+                completed += 1
+                if startup_ns <= slo_ns:
+                    within += 1
+            return attainment_pct(within, completed + overdue)
+
+        prefix = f"tenant.{load.tenant_id}"
+        bus.add_gauge(f"{prefix}.dp_slo_attainment_pct",
+                      lambda book=load.book: attainment_pct(
+                          book.within, book.latency.count))
+        bus.add_gauge(f"{prefix}.startup_slo_attainment_pct",
+                      tenant_startup_attainment)
+        bus.add_gauge(f"{prefix}.granted_ns",
+                      lambda runtime=load.runtime: runtime.granted_ns)

@@ -26,7 +26,6 @@ from repro.sim.environment import EngineConfig, Environment
 from repro.sim.errors import Interrupt, SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.queues import CalendarQueue, HeapQueue, SCHEDULERS
 from repro.sim.rng import RandomStreams, derive_seed
 from repro.sim.store import Store
 from repro.sim.units import MILLISECONDS, MICROSECONDS, NANOSECONDS, SECONDS, ns_to_s, s_to_ns
@@ -34,18 +33,15 @@ from repro.sim.units import MILLISECONDS, MICROSECONDS, NANOSECONDS, SECONDS, ns
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "EngineConfig",
     "Environment",
     "Event",
-    "HeapQueue",
     "Interrupt",
     "MICROSECONDS",
     "MILLISECONDS",
     "NANOSECONDS",
     "Process",
     "RandomStreams",
-    "SCHEDULERS",
     "SECONDS",
     "SimulationError",
     "StopSimulation",

@@ -1,6 +1,7 @@
-"""The simulation environment: clock, scheduler queue, and run loop."""
+"""The simulation environment: clock, event heap, and run loop."""
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter
 
@@ -11,7 +12,6 @@ from repro.obs.tracer import Tracer
 from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, PRIORITY_NORMAL, Timeout
 from repro.sim.process import Process
-from repro.sim.queues import SCHEDULERS, make_queue
 
 
 @dataclass(frozen=True)
@@ -24,28 +24,19 @@ class EngineConfig:
     report the elided events via :meth:`Environment.note_fast_forward`.
     Results are byte-identical either way — only the engine's
     self-profile (events processed vs. skipped) differs.
-
-    ``scheduler`` selects the pending-event queue implementation; see
-    :mod:`repro.sim.queues`.  All queues pop in the same total order, so
-    this is purely a throughput knob.
     """
 
     fast_forward: bool = True
-    scheduler: str = "heap"
-
-    def __post_init__(self):
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"choose from {sorted(SCHEDULERS)}")
 
 
 class Environment:
     """Owns the simulated clock and executes events in timestamp order.
 
     The clock is an integer count of nanoseconds since simulation start.
-    Events scheduled for the same instant are ordered by priority, then by
-    insertion order, making runs fully deterministic.
+    Pending events live in a binary heap of ``(time, priority, eid,
+    event)`` tuples, where ``eid`` is a monotonically increasing
+    insertion counter: events scheduled for the same instant are ordered
+    by priority, then by insertion order, making runs fully deterministic.
 
     Every environment carries the observability spine: ``self.tracer`` (a
     :class:`~repro.obs.tracer.Tracer`, disabled unless an observability
@@ -60,7 +51,7 @@ class Environment:
     def __init__(self, initial_time=0, config=None):
         self._now = int(initial_time)
         self.config = config if config is not None else EngineConfig()
-        self._queue = make_queue(self.config.scheduler)
+        self._queue = []
         self._eid = count()
         self._active_process = None
 
@@ -100,37 +91,14 @@ class Environment:
     def schedule(self, event, priority=PRIORITY_NORMAL, delay=0):
         """Queue ``event`` to be processed after ``delay`` nanoseconds."""
         queue = self._queue
-        queue.push((self._now + int(delay), priority, next(self._eid), event))
+        heappush(queue, (self._now + int(delay), priority, next(self._eid),
+                         event))
         if len(queue) > self._heap_peak:
             self._heap_peak = len(queue)
 
     def peek(self):
         """Time of the next scheduled event, or ``None`` if the queue is empty."""
-        entry = self._queue.peek()
-        return entry[0] if entry is not None else None
-
-    def step(self):
-        """Process the single next event.
-
-        Raises :class:`SimulationError` if the queue is empty, and re-raises
-        an event's failure exception if nothing defused it.
-        """
-        try:
-            when, _, _, event = self._queue.pop()
-        except IndexError:
-            raise SimulationError("no more events") from None
-
-        self._now = when
-        self._events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-
-        if event._ok is False and not event._defused:
-            # An unhandled failure crashes the simulation loudly rather than
-            # being silently dropped.
-            exc = event._value
-            raise exc
+        return self._queue[0][0] if self._queue else None
 
     def run(self, until=None):
         """Run until ``until`` (a time or an event), or until no events remain.
@@ -152,16 +120,15 @@ class Environment:
                 stop = Timeout(self, at - self._now)
                 stop.callbacks.append(_stop_callback)
 
-        # The event loop is inlined (rather than calling self.step() per
-        # event) — on soak workloads the extra frame per event was ~15% of
-        # total wall time.
+        # The event loop is inlined, with local bindings — on soak
+        # workloads an extra frame per event was ~15% of total wall time.
         queue = self._queue
-        pop = queue.pop
+        pop = heappop
         processed = 0
         wall_start = perf_counter()
         try:
             while queue:
-                when, _, _, event = pop()
+                when, _, _, event = pop(queue)
                 self._now = when
                 processed += 1
                 callbacks, event.callbacks = event.callbacks, None
@@ -214,7 +181,6 @@ class Environment:
             "fast_forward_windows": self._fast_forward_windows,
             "skipped_ratio": round(skipped / (processed + skipped), 4)
             if processed + skipped else 0.0,
-            "scheduler": self.config.scheduler,
             "fast_forward": self.config.fast_forward,
             "heap_peak": self._heap_peak,
             "heap_pending": len(self._queue),

@@ -3,15 +3,14 @@
 Tenants are first-class scenario objects (:class:`TenantSpec` lists on
 ``Scenario.tenants``); the :class:`TenancyManager` partitions a built
 board's DP services and vCPUs by weight and hooks the Tai Chi scheduler
-for weighted-fair, isolation-respecting backing; :func:`run_tenant_soak`
-drives per-tenant load and reports per-tenant SLO blocks;
-:func:`verify_tenant_summary` cross-checks a summary's grant ledgers and
-declared SLOs.
+for weighted-fair, isolation-respecting backing;
+:func:`repro.scenario.run_soak` drives per-tenant load and reports
+per-tenant SLO blocks; :func:`verify_tenant_summary` cross-checks a
+summary's grant ledgers and declared SLOs.
 """
 
 from repro.tenancy.manager import TenancyManager, TenantRuntime, \
-    weighted_partition
-from repro.tenancy.soak import run_tenant_soak, verify_tenant_summary
+    verify_tenant_summary, weighted_partition
 from repro.tenancy.spec import MIN_SHARE, TenantSpec, normalize_tenants
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "TenantRuntime",
     "TenantSpec",
     "normalize_tenants",
-    "run_tenant_soak",
     "verify_tenant_summary",
     "weighted_partition",
 ]

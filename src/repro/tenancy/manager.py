@@ -255,3 +255,43 @@ class TenancyManager:
         mode = "isolated" if self.isolation else "shared"
         return (f"<TenancyManager {mode} "
                 f"tenants={[r.tenant_id for r in self.runtimes]}>")
+
+
+def verify_tenant_summary(summary):
+    """Cross-check a multi-tenant soak summary's books; returns problems.
+
+    Checks (empty list = clean):
+
+    * grant conservation — per-tenant ledgers sum to the board total;
+    * sample accounting — within-SLO counts never exceed totals;
+    * declared per-tenant DP SLOs hold at p99 when isolation is on.
+    """
+    problems = []
+    tenants = summary.get("tenants")
+    tenancy = summary.get("tenancy")
+    if not tenants or tenancy is None:
+        return ["summary carries no tenant blocks"]
+    ledger_sum = sum(block["granted_ns"] for block in tenants.values())
+    if ledger_sum != tenancy["total_granted_ns"]:
+        problems.append(
+            f"grant ledgers do not conserve: tenants sum to "
+            f"{ledger_sum} ns but the board granted "
+            f"{tenancy['total_granted_ns']} ns")
+    for tid, block in tenants.items():
+        if block["dp_within_slo"] > block["dp_slo_total"]:
+            problems.append(
+                f"tenant {tid!r}: dp_within_slo {block['dp_within_slo']} "
+                f"exceeds dp_slo_total {block['dp_slo_total']}")
+        if block["startup_within_slo"] > block["startup_slo_total"]:
+            problems.append(
+                f"tenant {tid!r}: startup_within_slo "
+                f"{block['startup_within_slo']} exceeds startup_slo_total "
+                f"{block['startup_slo_total']}")
+        p99 = block["dp_latency_us"].get("p99")
+        if (tenancy["isolation"] and block.get("dp_slo_declared")
+                and p99 is not None and p99 > block["dp_slo_us"]):
+            problems.append(
+                f"tenant {tid!r}: dp rx-wait p99 {p99:.1f}us breaches its "
+                f"declared SLO {block['dp_slo_us']:.1f}us despite "
+                f"isolation")
+    return problems

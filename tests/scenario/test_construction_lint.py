@@ -18,9 +18,10 @@ _ALLOWED = ("scenario", "baselines")
 
 _DIRECT_CALL = re.compile(r"\b[A-Za-z_]*Deployment\(")
 
-#: Directories allowed to construct a TenancyManager directly — everyone
-#: else reaches multi-tenant behavior through ``Scenario.tenants``.
-_TENANCY_ALLOWED = ("tenancy",)
+#: Directories allowed to construct a TenancyManager directly (the soak
+#: driver lives in ``repro/scenario``) — everyone else reaches
+#: multi-tenant behavior through ``Scenario.tenants``.
+_TENANCY_ALLOWED = ("tenancy", "scenario")
 
 _TENANCY_CALL = re.compile(r"\bTenancyManager\(")
 
@@ -55,6 +56,7 @@ def test_no_direct_deployment_construction_outside_the_registry():
 def test_no_direct_tenancy_manager_construction_outside_tenancy():
     offenders = _scan(_TENANCY_CALL, _TENANCY_ALLOWED)
     assert not offenders, (
-        "direct TenancyManager construction outside repro/tenancy — "
+        "direct TenancyManager construction outside repro/tenancy and "
+        "repro/scenario — "
         "declare Scenario.tenants and let the soak driver install it:\n"
         + "\n".join(offenders))

@@ -39,6 +39,26 @@ def test_faulted_soak_reports_injections():
     assert summary["faults"]["injected"] > 0
 
 
+def test_whole_board_tenant_keeps_the_legacy_stream_names(monkeypatch):
+    # A tenant-less soak is the whole-board tenant of the one driver; its
+    # RNG stream names are the determinism contract behind every
+    # published single-tenant number.
+    from repro.sim.rng import RandomStreams
+
+    names = set()
+    stream = RandomStreams.stream
+
+    def spy(self, name):
+        names.add(name)
+        return stream(self, name)
+
+    monkeypatch.setattr(RandomStreams, "stream", spy)
+    _small_soak(arm="taichi")
+    assert {"dp-background", "cp-background", "fleet-probe",
+            "fleet-storms", "device-mgmt"} <= names
+    assert not any(name.startswith("tenant-") for name in names)
+
+
 def test_every_traffic_profile_runs():
     for traffic in ("steady", "bursty", "spiky"):
         summary = _small_soak(arm="baseline", traffic=traffic)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, SimulationError
+from repro.sim import Environment
 
 
 def test_clock_starts_at_zero():
@@ -58,12 +58,6 @@ def test_run_until_already_processed_event():
     assert env.run(until=timeout) is timeout.value
 
 
-def test_step_empty_queue_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
-
-
 def test_events_at_same_time_preserve_insertion_order():
     env = Environment()
     order = []
@@ -95,24 +89,15 @@ def test_unhandled_process_failure_crashes_run():
         env.run()
 
 
-def test_engine_config_rejects_unknown_scheduler():
-    from repro.sim import EngineConfig
-
-    with pytest.raises(ValueError, match="scheduler"):
-        EngineConfig(scheduler="fibonacci")
-
-
 def test_profile_reports_engine_configuration_and_skips():
     from repro.sim import EngineConfig
 
-    env = Environment(config=EngineConfig(fast_forward=True,
-                                          scheduler="calendar"))
+    env = Environment(config=EngineConfig(fast_forward=True))
     env.timeout(5)
     env.run()
     env.note_fast_forward(30)
     env.note_fast_forward(0)  # empty windows are not counted
     profile = env.profile()
-    assert profile["scheduler"] == "calendar"
     assert profile["fast_forward"] is True
     assert profile["events_skipped"] == 30
     assert profile["fast_forward_windows"] == 1

@@ -1,4 +1,4 @@
-"""The multi-tenant soak: delegation, determinism, telemetry, invariants."""
+"""The multi-tenant soak: summary shape, determinism, telemetry, invariants."""
 
 from repro.obs import observe
 from repro.scenario import Scenario, run_soak
@@ -41,6 +41,18 @@ def test_single_tenant_summary_carries_no_tenant_keys():
                        drain_ns=15 * MILLISECONDS)
     assert "tenants" not in summary
     assert "tenancy" not in summary
+
+
+def test_one_declared_tenant_owns_the_whole_board():
+    summary = run_soak(Scenario(arm="taichi", tenants=[{"tenant_id": "solo"}]),
+                       seed=11, duration_ns=30 * MILLISECONDS,
+                       drain_ns=15 * MILLISECONDS)
+    block = summary["tenants"]["solo"]
+    assert block["services"] == 8
+    assert block["dp_sample_count"] == summary["dp_sample_count"]
+    assert block["vms_requested"] == summary["vms_requested"]
+    assert block["granted_ns"] == summary["tenancy"]["total_granted_ns"]
+    assert verify_tenant_summary(summary) == []
 
 
 def test_tenant_soak_is_deterministic():
