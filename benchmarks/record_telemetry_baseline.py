@@ -5,14 +5,15 @@ both on the current machine:
 
 * **sampling overhead** — a soak with a 10 ms telemetry cadence must run
   within a few percent of the same soak with telemetry off (interleaved
-  best-of-N, same methodology as ``test_bench_telemetry.py``).
+  best-of-N, the same :mod:`benchmarks.overhead` helper as
+  ``test_bench_telemetry.py``).
 * **wire size** — a sketch-shipping fleet node summary must be far
   smaller than one carrying raw sample arrays; this is what lets a
   pod-scale fleet aggregate without shipping O(samples) per node.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/record_telemetry_baseline.py \
+    PYTHONPATH=src python -m benchmarks.record_telemetry_baseline \
         [--out BENCH_telemetry.json] [--skip-pod]
 
 The committed baseline is informational (machines differ); the enforced
@@ -23,39 +24,18 @@ import argparse
 import dataclasses
 import json
 import platform
-import time
 
-from repro.obs import observe
+from benchmarks.overhead import interleaved_best, soak
 from repro.obs.telemetry import TelemetryConfig
-from repro.scenario import Scenario, run_soak
-from repro.sim.units import MILLISECONDS
-
-
-def _soak_events(telemetry):
-    with observe() as session:
-        run_soak(Scenario(arm="taichi"), seed=0,
-                 duration_ns=60 * MILLISECONDS,
-                 drain_ns=20 * MILLISECONDS,
-                 label="bench-telemetry", telemetry=telemetry)
-    snapshot = session.metrics.snapshot()
-    return sum(data["events_processed"]
-               for name, data in snapshot["sources"].items()
-               if name.split("#")[0] == "sim.engine")
 
 
 def measure_overhead(rounds=5):
     config = TelemetryConfig(interval_ms=10.0)
-    off_times, on_times = [], []
-    events = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        events = _soak_events(None)
-        off_times.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        _soak_events(config)
-        on_times.append(time.perf_counter() - t0)
-    off_rate = events / min(off_times)
-    on_rate = events / min(on_times)
+    (_, events), _, best_off, best_on = interleaved_best(
+        lambda: soak("bench-telemetry"),
+        lambda: soak("bench-telemetry", telemetry=config), rounds=rounds)
+    off_rate = events / best_off
+    on_rate = events / best_on
     return {
         "rounds": rounds,
         "events_processed": events,

@@ -5,51 +5,25 @@ instrumentation site plus one unconditional set-add per DP service, so a
 spans-off soak must stay within 5% of the pre-span baseline.  Enabled,
 the tracker hooks every trace event and runs the attribution sweep per
 completed request — real work, but it must stay within a small constant
-factor so spans are usable on production-length soaks.  Both arms run
-interleaved (thermal drift hits them equally) with best-of-N timing, and
-the enabled arm must leave the simulated world untouched: identical
+factor so spans are usable on production-length soaks.  Both arms are
+timed by :mod:`benchmarks.overhead`, and the enabled arm must leave the simulated world untouched: identical
 event counts, identical probe samples.
 """
 
-import time
-
-from repro.obs import observe
-from repro.scenario import Scenario, run_soak
+from benchmarks.overhead import interleaved_best, soak
+from repro.scenario import Scenario
 from repro.sim.units import MILLISECONDS
 
-_ROUNDS = 5
 _MAX_ON_FACTOR = 4.0
 
 
-def _soak(spans):
-    scenario = Scenario(arm="taichi")
-    with observe() as session:
-        summary = run_soak(scenario, seed=0,
-                           duration_ns=60 * MILLISECONDS,
-                           drain_ns=20 * MILLISECONDS,
-                           label="bench-spans", spans=spans)
-    snapshot = session.metrics.snapshot()
-    events = sum(data["events_processed"]
-                 for name, data in snapshot["sources"].items()
-                 if name.split("#")[0] == "sim.engine")
-    return summary, events
-
-
 def test_bench_span_overhead(benchmark):
-    def measure():
-        off_times, on_times = [], []
-        for _ in range(_ROUNDS):
-            t0 = time.perf_counter()
-            summary_off, events_off = _soak(False)
-            off_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            summary_on, events_on = _soak(True)
-            on_times.append(time.perf_counter() - t0)
-        return summary_off, summary_on, events_off, events_on, \
-            min(off_times), min(on_times)
-
-    summary_off, summary_on, events_off, events_on, best_off, best_on = \
-        benchmark.pedantic(measure, rounds=1, iterations=1)
+    (summary_off, events_off), (summary_on, events_on), best_off, best_on = \
+        benchmark.pedantic(
+            interleaved_best,
+            args=(lambda: soak("bench-spans", spans=False),
+                  lambda: soak("bench-spans", spans=True)),
+            rounds=1, iterations=1)
 
     # Spans only read state and record events: the simulated world is
     # byte-identical, so the engine processes the exact same events.

@@ -7,21 +7,16 @@ two arms simulate comparable worlds.  Both arms pin the same storm-free
 workload: the tenant arm draws from its own RNG streams
 (``tenant-<id>-*`` vs ``fleet-*``), and a VM storm landing in one arm's
 window but not the other's would swamp the accounting cost being gated.
-The benchmark interleaves the plain soak with the one-tenant soak
-(thermal drift and background noise hit both arms equally), takes
-best-of-N per arm, and gates the ratio.  Each arm's rate uses its *own*
-deterministic engine event count: the residual stream differences still
-shift exact counts by a hair, and cross-charging one arm's events to
-the other would skew the rate.
+The benchmark times the plain soak against the one-tenant soak
+(:mod:`benchmarks.overhead`) and gates the ratio.  Each arm's rate uses
+its *own* deterministic engine event count: the residual stream
+differences still shift exact counts by a hair, and cross-charging one
+arm's events to the other would skew the rate.
 """
 
-import time
+from benchmarks.overhead import interleaved_best, soak
+from repro.scenario import Scenario
 
-from repro.obs import observe
-from repro.scenario import Scenario, run_soak
-from repro.sim.units import MILLISECONDS
-
-_ROUNDS = 5
 _MAX_OVERHEAD = 0.05
 
 #: The fleet-node mix minus VM storms (an effectively-infinite period):
@@ -32,37 +27,18 @@ _WORKLOAD = {"dp_utilization": 0.30, "n_monitors": 3, "rolling_tasks": 2,
 
 
 def _soak(tenants):
-    scenario = Scenario(arm="taichi", workload=dict(_WORKLOAD),
-                        tenants=tenants)
-    with observe() as session:
-        summary = run_soak(scenario, seed=0,
-                           duration_ns=60 * MILLISECONDS,
-                           drain_ns=20 * MILLISECONDS,
-                           label="bench-tenancy")
-    snapshot = session.metrics.snapshot()
-    events = sum(data["events_processed"]
-                 for name, data in snapshot["sources"].items()
-                 if name.split("#")[0] == "sim.engine")
-    return summary, events
+    return soak("bench-tenancy",
+                Scenario(arm="taichi", workload=dict(_WORKLOAD),
+                         tenants=tenants))
 
 
 def test_bench_tenancy_overhead(benchmark):
     sole = [{"tenant_id": "sole"}]
-
-    def measure():
-        off_times, on_times = [], []
-        for _ in range(_ROUNDS):
-            t0 = time.perf_counter()
-            summary_off, events_off = _soak(None)
-            off_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            summary_on, events_on = _soak(sole)
-            on_times.append(time.perf_counter() - t0)
-        return summary_off, summary_on, events_off, events_on, \
-            min(off_times), min(on_times)
-
-    summary_off, summary_on, events_off, events_on, best_off, best_on = \
-        benchmark.pedantic(measure, rounds=1, iterations=1)
+    (summary_off, events_off), (summary_on, events_on), best_off, best_on = \
+        benchmark.pedantic(
+            interleaved_best,
+            args=(lambda: _soak(None), lambda: _soak(sole)),
+            rounds=1, iterations=1)
 
     # The sole tenant inherits the whole board: a comparable world (the
     # tenant RNG streams shift exact counts by a hair), and every donated

@@ -3,7 +3,7 @@
 from repro.core import TaiChi, TaiChiConfig
 from repro.dp import DPServiceParams, deploy_dp_services
 from repro.hw import SmartNIC
-from repro.sim import EngineConfig, Environment, RandomStreams
+from repro.sim import Environment, RandomStreams
 
 
 class Deployment:
@@ -18,8 +18,8 @@ class Deployment:
     name = "base"
 
     def __init__(self, seed=0, board_config=None, dp_kind="net",
-                 dp_params=None, dp_cpu_ids=None, engine=None):
-        self.env = Environment(config=engine or EngineConfig())
+                 dp_params=None, dp_cpu_ids=None):
+        self.env = Environment()
         self.rng = RandomStreams(seed=seed)
         self.board = SmartNIC(self.env, config=board_config, rng=self.rng)
         self.dp_kind = dp_kind

@@ -202,53 +202,29 @@ class DPService:
             arrival = self._arrival_event()
             control = self.env.event()
             self._control_event = control
-            fast = self.env.config.fast_forward
+            # The service spins on empty rx_bursts until traffic, control,
+            # or (on a Tai Chi board) the adaptive empty-poll threshold.
+            # One wait stands for the whole spin, and the empty polls it
+            # covered are accounted when it resolves.
             if self.idle_notifier is None:
-                # Plain deployment: nothing to yield to; the real service
-                # busy-polls until traffic shows up.  Fast path: jump the
-                # clock straight to the next arrival/control event and
-                # account the empty rx_bursts that would have happened.
-                # Stepped path: one discrete event per empty poll.
-                idle_since = self.env.now
-                if fast:
-                    yield WaitEvent(self.env.any_of([arrival, control]))
-                    self.env.note_fast_forward(
-                        (self.env.now - idle_since) // params.poll_ns)
-                else:
-                    wait = self.env.any_of([arrival, control])
-                    self._arm_stepped_polls(wait, None, params.poll_ns)
-                    yield WaitEvent(wait)
-                self._cancel_arrival_watchers()
-                self._control_event = None
-                continue
-
-            # Count empty polls up to the (adaptive) threshold, then notify.
-            threshold = self.idle_notifier.threshold_for(self)
-            n_polls = max(int(threshold), 1)
-            budget_ns = n_polls * params.poll_ns
-            idle_since = self.env.now
-            if fast:
-                # The whole empty-poll budget collapses into one timeout;
-                # timing and the arrival/control race are identical to the
-                # stepped chain (the last stepped tick lands exactly at
-                # ``budget_ns``).
-                timer = self.env.timeout(budget_ns)
-                yield WaitEvent(self.env.any_of([arrival, timer, control]))
+                # Plain deployment: nothing to yield to.
+                timer = None
+                race = [arrival, control]
             else:
-                timer = self.env.event()
-                wait = self.env.any_of([arrival, timer, control])
-                self._arm_stepped_polls(wait, n_polls, params.poll_ns,
-                                        done=timer)
-                yield WaitEvent(wait)
+                threshold = self.idle_notifier.threshold_for(self)
+                n_polls = max(int(threshold), 1)
+                timer = self.env.timeout(n_polls * params.poll_ns)
+                race = [arrival, timer, control]
+            idle_since = self.env.now
+            yield WaitEvent(self.env.any_of(race))
             self._cancel_arrival_watchers()
-            if arrival.triggered or control.triggered or self._shutdown:
-                if fast:
-                    self.env.note_fast_forward(
-                        (self.env.now - idle_since) // params.poll_ns)
+            if (timer is None or arrival.triggered or control.triggered
+                    or self._shutdown):
+                self.env.note_fast_forward(
+                    (self.env.now - idle_since) // params.poll_ns)
                 self._control_event = None
                 continue  # traffic/control beat the threshold; count resets
-            if fast:
-                self.env.note_fast_forward(n_polls)
+            self.env.note_fast_forward(n_polls)
             self.empty_poll_streaks += 1
             if self.probe_fusion and self._pipeline_traffic_imminent():
                 # Packets are already inside the accelerator pipeline:
@@ -300,31 +276,6 @@ class DPService:
             if not event.triggered:
                 store.cancel_nonempty(event)
         self._arrival_watchers = []
-
-    def _arm_stepped_polls(self, wait, n_polls, poll_ns, done=None):
-        """Reference ("stepped") idle engine: one event per empty rx_burst.
-
-        Arms a self-re-arming chain of ``poll_ns`` timeouts at the pure
-        event layer (no thread dispatch, so scheduler behaviour is
-        untouched); after ``n_polls`` ticks it succeeds ``done`` — landing
-        on exactly the instant the fast path's single analytic timeout
-        fires.  With ``n_polls=None`` the chain re-arms until ``wait``
-        triggers.  Only engine self-profiling distinguishes the two modes.
-        """
-        env = self.env
-
-        def _arm(remaining):
-            def _tick(_event, remaining=remaining):
-                if wait.triggered:
-                    return
-                if remaining is not None and remaining <= 1:
-                    done.succeed()
-                    return
-                _arm(None if remaining is None else remaining - 1)
-
-            env.timeout(poll_ns).callbacks.append(_tick)
-
-        _arm(n_polls)
 
     def _packet_cost(self, request):
         cost = int(request.service_ns * self.params.work_scale)

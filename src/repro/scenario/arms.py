@@ -31,12 +31,10 @@ from repro.core import DynamicRepartitioner, TaiChiConfig
 from repro.dp import DPServiceParams
 from repro.hw import AcceleratorParams, BoardConfig
 from repro.kernel import KernelParams
-from repro.sim import EngineConfig
 from repro.virt.costs import VirtCosts
 
 #: Constructor knobs every deployment accepts (see ``Deployment.__init__``).
-COMMON_KNOBS = ("board_config", "dp_kind", "dp_params", "dp_cpu_ids",
-                "engine")
+COMMON_KNOBS = ("board_config", "dp_kind", "dp_params", "dp_cpu_ids")
 
 #: Post-construction knobs available on arms that carry a live TaiChi.
 TAICHI_POST_KNOBS = ("dp_boost", "degradation")
@@ -170,7 +168,6 @@ _KNOB_FACTORIES = {
     "taichi_config": _taichi_config_from_dict,
     "board_config": _board_config_from_dict,
     "dp_params": lambda data: DPServiceParams(**data),
-    "engine": lambda data: EngineConfig(**data),
 }
 
 

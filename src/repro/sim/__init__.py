@@ -22,7 +22,7 @@ Quick example::
     assert proc.value == "done"
 """
 
-from repro.sim.environment import EngineConfig, Environment
+from repro.sim.environment import Environment
 from repro.sim.errors import Interrupt, SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
@@ -33,7 +33,6 @@ from repro.sim.units import MILLISECONDS, MICROSECONDS, NANOSECONDS, SECONDS, ns
 __all__ = [
     "AllOf",
     "AnyOf",
-    "EngineConfig",
     "Environment",
     "Event",
     "Interrupt",

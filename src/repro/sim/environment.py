@@ -1,6 +1,5 @@
 """The simulation environment: clock, event heap, and run loop."""
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
 from time import perf_counter
@@ -12,21 +11,6 @@ from repro.obs.tracer import Tracer
 from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, PRIORITY_NORMAL, Timeout
 from repro.sim.process import Process
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Engine tuning knobs, exposed as the ``engine`` scenario knob.
-
-    ``fast_forward`` enables the analytic idle fast-forward: components
-    whose only pending work is a pure timer chain (the DP poll loop's
-    empty-poll budget) collapse the chain into one batched timeout and
-    report the elided events via :meth:`Environment.note_fast_forward`.
-    Results are byte-identical either way — only the engine's
-    self-profile (events processed vs. skipped) differs.
-    """
-
-    fast_forward: bool = True
 
 
 class Environment:
@@ -48,9 +32,8 @@ class Environment:
     as the ``sim.engine`` metrics source.
     """
 
-    def __init__(self, initial_time=0, config=None):
+    def __init__(self, initial_time=0):
         self._now = int(initial_time)
-        self.config = config if config is not None else EngineConfig()
         self._queue = []
         self._eid = count()
         self._active_process = None
@@ -163,8 +146,12 @@ class Environment:
     # -- Engine self-profiling ------------------------------------------------
 
     def note_fast_forward(self, skipped):
-        """Record one analytic fast-forward window that elided ``skipped``
-        events the stepped engine would have processed."""
+        """Record one analytic idle wait that covered ``skipped`` empty
+        polls.
+
+        A DP poll loop with nothing to do waits on one timeout (or on the
+        next arrival) instead of one event per empty ``rx_burst``; this
+        counts the polls that wait stood for."""
         if skipped > 0:
             self._events_skipped += skipped
             self._fast_forward_windows += 1
@@ -181,7 +168,6 @@ class Environment:
             "fast_forward_windows": self._fast_forward_windows,
             "skipped_ratio": round(skipped / (processed + skipped), 4)
             if processed + skipped else 0.0,
-            "fast_forward": self.config.fast_forward,
             "heap_peak": self._heap_peak,
             "heap_pending": len(self._queue),
             "sim_time_ns": self._now,

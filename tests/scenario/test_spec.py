@@ -46,6 +46,13 @@ def test_post_knobs_require_taichi_family():
 def test_unknown_knob_rejected_at_spec_time():
     with pytest.raises(ValueError, match="does not accept knob"):
         Scenario(arm="naive", knobs={"taichi_config": {}})
+    # The retired ``engine`` knob fails loudly, also from saved JSON.
+    retired = {"arm": "taichi", "knobs": {"engine": {"fast_forward": False}}}
+    pattern = r"knob\(s\) \['engine'\]; accepted knobs: \["
+    with pytest.raises(ValueError, match=pattern):
+        Scenario(**retired)
+    with pytest.raises(ValueError, match=pattern):
+        Scenario.from_dict(retired)
 
 
 def test_workload_dict_is_coerced():

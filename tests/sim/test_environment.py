@@ -90,15 +90,12 @@ def test_unhandled_process_failure_crashes_run():
 
 
 def test_profile_reports_engine_configuration_and_skips():
-    from repro.sim import EngineConfig
-
-    env = Environment(config=EngineConfig(fast_forward=True))
+    env = Environment()
     env.timeout(5)
     env.run()
     env.note_fast_forward(30)
     env.note_fast_forward(0)  # empty windows are not counted
     profile = env.profile()
-    assert profile["fast_forward"] is True
     assert profile["events_skipped"] == 30
     assert profile["fast_forward_windows"] == 1
     processed = profile["events_processed"]
