@@ -36,6 +36,8 @@ class DPService:
         self.tenant_id = None  # set by TenancyManager on multi-tenant boards
 
         self.rx_stores = [board.accelerator.queue_store(q) for q in self.queue_ids]
+        for store in self.rx_stores:
+            store.consumer = self
         self._device_rng = board.rng.stream(f"device-{name}")
 
         # Idle notification target (Tai Chi's software workload probe); the
@@ -66,9 +68,9 @@ class DPService:
         self.stalls_injected = 0
         self._recent_waits = deque(maxlen=256)  # rx-ready -> dp-start, ns
 
-        # In-flight when_nonempty watchers, withdrawn after every idle wait
-        # so abandoned watchers don't pile up on the rx stores over a soak.
-        self._arrival_watchers = []
+        # The rx doorbell: one pending event while the loop sleeps, rung by
+        # the first of this service's rx stores to receive a packet.
+        self._bell = None
 
         # Causal tracing: let the span tracker attribute rx-queue waits to
         # queued-behind service time on this poller thread.
@@ -134,7 +136,9 @@ class DPService:
             raise ValueError(f"{self.name} does not poll {queue_id!r}")
         index = self.queue_ids.index(queue_id)
         self.queue_ids.pop(index)
-        self.rx_stores.pop(index)
+        store = self.rx_stores.pop(index)
+        if store.consumer is self:
+            store.consumer = None
         # Restart any in-flight idle wait so its arrival set shrinks.
         if self._control_event is not None and not self._control_event.triggered:
             self._control_event.succeed()
@@ -145,6 +149,7 @@ class DPService:
         self.queue_ids.append(queue_id)
         store = self.board.accelerator.queue_store(queue_id)
         self.rx_stores.append(store)
+        store.consumer = self
         self.board.accelerator.retarget_queue(queue_id, self.cpu_id)
         # Restart any in-flight idle wait so its arrival set includes the
         # adopted queue.
@@ -217,7 +222,7 @@ class DPService:
                 race = [arrival, timer, control]
             idle_since = self.env.now
             yield WaitEvent(self.env.any_of(race))
-            self._cancel_arrival_watchers()
+            self._bell = None
             if (timer is None or arrival.triggered or control.triggered
                     or self._shutdown):
                 self.env.note_fast_forward(
@@ -245,7 +250,7 @@ class DPService:
             # running, so an idle-blocked wait skips nothing.
             yield WaitEvent(self.env.any_of(
                 [self._arrival_event(), resume, control]))
-            self._cancel_arrival_watchers()
+            self._bell = None
             self._resume_event = None
             self._control_event = None
             self.is_idle_blocked = False
@@ -257,25 +262,35 @@ class DPService:
 
     def _collect_batch(self):
         batch = []
+        burst = self.params.burst
         for store in self.rx_stores:
-            batch.extend(store.get_batch(self.params.burst))
+            if store.items:
+                batch.extend(store.get_batch(burst))
         return batch
 
     def _arrival_event(self):
-        events = [store.when_nonempty() for store in self.rx_stores]
-        self._arrival_watchers = list(zip(self.rx_stores, events))
-        if not events:
-            return self.env.event()  # queue-less service: only control wakes it
-        if len(events) == 1:
-            return events[0]
-        return self.env.any_of(events)
+        """Arm the rx doorbell and return the event the idle wait races.
 
-    def _cancel_arrival_watchers(self):
-        """Withdraw watchers the finished wait no longer needs."""
-        for store, event in self._arrival_watchers:
-            if not event.triggered:
-                store.cancel_nonempty(event)
-        self._arrival_watchers = []
+        The bell is one event for all rx stores, however many the service
+        polls, so a wait costs O(1): each store rings its consumer's bell
+        on a put (``Store._dispatch``), and a store that already holds
+        packets rings it here, checked in ``rx_stores`` order.  A queue-less
+        service's bell never rings; only control wakes it.
+
+        With more than one store the bell is raced through a one-member
+        ``AnyOf``.  That relay hop keeps the wake one heap entry behind the
+        ring, where pinned results expect it; without it the wake reorders
+        against events that share its instant.
+        """
+        bell = self.env.event()
+        self._bell = bell
+        for store in self.rx_stores:
+            if store.items:
+                bell.succeed(len(store.items))
+                break
+        if len(self.rx_stores) > 1:
+            return self.env.any_of([bell])
+        return bell
 
     def _packet_cost(self, request):
         cost = int(request.service_ns * self.params.work_scale)

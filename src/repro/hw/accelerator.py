@@ -10,6 +10,7 @@ creates the 3.2 us window that hides vCPU switch latency.
 """
 
 from dataclasses import dataclass
+from heapq import heapreplace
 
 from repro.sim.units import MICROSECONDS
 
@@ -33,7 +34,9 @@ class Accelerator:
         self.params = params or AcceleratorParams()
         self.probe = probe
         self._queues = {}             # queue_id -> (Store, dst_cpu_id)
-        self._pipeline_free_ns = [0] * self.params.pipelines
+        # (free_at_ns, engine) min-heap: the root is the earliest-free
+        # preprocessing engine, ties going to the lowest engine index.
+        self._engines = [(0, engine) for engine in range(self.params.pipelines)]
         self._inflight = {}           # queue_id -> packets inside the pipeline
         self.packets_processed = 0
         self.stage_samples = []       # (preprocess_ns, transfer_ns) pairs
@@ -76,10 +79,9 @@ class Accelerator:
             self.probe.on_packet(dst_cpu_id)
 
         # Claim the earliest-free pipeline engine.
-        engine = min(range(len(self._pipeline_free_ns)),
-                     key=self._pipeline_free_ns.__getitem__)
-        start = max(now, self._pipeline_free_ns[engine], self.stall_until_ns)
-        self._pipeline_free_ns[engine] = start + self.params.preprocess_ns
+        free_at, engine = self._engines[0]
+        start = max(now, free_at, self.stall_until_ns)
+        heapreplace(self._engines, (start + self.params.preprocess_ns, engine))
         request.t_accel_start = start
         ready_at = start + self.params.preprocess_ns + self.params.transfer_ns
 

@@ -71,6 +71,11 @@ class CPU:
         self.cpu_id = cpu_id
         self.runqueue = RunQueue(cpu_id)
         self.state = CpuState.OFFLINE
+        # True while the executor may run (state neither OFFLINE nor
+        # BOOTING).  A plain attribute because wake placement reads it on
+        # every candidate CPU; only the lifecycle methods below (set_online,
+        # _go_offline, a STARTUP completion) write it.
+        self.online = False
         self.current = None
         self.need_resched = False
         self.preempt_depth = 0
@@ -104,10 +109,6 @@ class CPU:
     # -- Lifecycle -------------------------------------------------------------
 
     @property
-    def online(self):
-        return self.state not in (CpuState.OFFLINE, CpuState.BOOTING)
-
-    @property
     def offline_pending(self):
         """True between :meth:`request_offline` and the executor parking."""
         return self._offline_requested
@@ -117,6 +118,7 @@ class CPU:
         if self.online:
             return
         self.state = CpuState.IDLE
+        self.online = True
         self._offline_requested = False
         self._proc = self.env.process(self._main(), name=f"cpu{self.cpu_id}")
         self.kernel.on_cpu_online(self)
@@ -138,6 +140,7 @@ class CPU:
     def _go_offline(self):
         self._offline_requested = False
         self.state = CpuState.OFFLINE
+        self.online = False
         self.current = None
         self._proc = None
         self.need_resched = False
@@ -156,7 +159,10 @@ class CPU:
             delay = self.kernel.params.cpu_boot_ns
 
             def _complete(_event):
-                self.state = CpuState.OFFLINE  # let set_online flip it
+                # Let set_online flip it, even if an earlier STARTUP
+                # already brought the CPU up.
+                self.state = CpuState.OFFLINE
+                self.online = False
                 self.set_online()
 
             self.env.timeout(delay).callbacks.append(_complete)

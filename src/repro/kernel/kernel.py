@@ -40,6 +40,10 @@ class Kernel:
         self.tracer = tracer if tracer is not None else env.tracer
 
         self.cpus = {}
+        # Wake-placement candidates per affinity set (``None`` = any CPU):
+        # the CPUs that set allows, in registration order.  Cleared when a
+        # CPU is registered.
+        self._candidates = {}
         self.threads = {}
         self.ipi = IPIController(self, latency_ns=self.params.ipi_latency_ns)
         self.softirq = SoftirqSubsystem(self)
@@ -62,6 +66,7 @@ class Kernel:
             raise ValueError(f"cpu id {cpu_id!r} already registered")
         cpu = cpu_cls(self, cpu_id, online=online, **kwargs)
         self.cpus[cpu_id] = cpu
+        self._candidates.clear()
         return cpu
 
     def register_cpu(self, cpu):
@@ -69,6 +74,7 @@ class Kernel:
         if cpu.cpu_id in self.cpus:
             raise ValueError(f"cpu id {cpu.cpu_id!r} already registered")
         self.cpus[cpu.cpu_id] = cpu
+        self._candidates.clear()
         return cpu
 
     def boot_cpu(self, cpu_id, from_cpu=None):
@@ -165,18 +171,25 @@ class Kernel:
 
         A CPU parking for hotplug removal is a last resort: placing there
         just bounces the thread back through offline migration.  This runs
-        on every thread wake, so it is a single pass over the CPUs with one
-        ``placement_load()`` call each (was three list comprehensions).
+        on every thread wake, so it is a single pass over the CPUs the
+        thread's affinity allows (cached per affinity set; a pinned DP
+        poller has one), with one ``placement_load()`` call each.
         """
-        can_run_on = thread.can_run_on
+        affinity = thread.affinity
+        allowed = None if affinity is None else frozenset(affinity)
+        candidates = self._candidates.get(allowed)
+        if candidates is None:
+            candidates = self._candidates[allowed] = [
+                cpu for cpu in self.cpus.values()
+                if allowed is None or cpu.cpu_id in allowed]
         first_idle = None            # first zero-load non-parking candidate
         best = None                  # least-loaded non-parking candidate
         best_key = None
         parking_first_idle = None    # same, among parking CPUs (last resort)
         parking_best = None
         parking_best_key = None
-        for cpu in self.cpus.values():
-            if not cpu.online or not can_run_on(cpu.cpu_id):
+        for cpu in candidates:
+            if not cpu.online:
                 continue
             load = cpu.placement_load()
             key = (load, str(cpu.cpu_id))
@@ -198,7 +211,7 @@ class Kernel:
                 preferred_cpu is not None
                 and preferred_cpu.online
                 and not preferred_cpu.offline_pending
-                and can_run_on(preferred)
+                and thread.can_run_on(preferred)
                 and preferred_cpu.placement_load() == 0
             ):
                 return preferred_cpu
@@ -252,10 +265,9 @@ class Kernel:
 
     def steal_work(self, idle_cpu):
         """Pull one waiting fair thread onto ``idle_cpu`` (newidle balance)."""
-        from repro.kernel.runqueue import SchedClass
-
         for victim in self.cpus.values():
-            if victim is idle_cpu or victim.runqueue.is_empty:
+            rq = victim.runqueue
+            if victim is idle_cpu or not (rq._rt or rq._fair):
                 continue
             unbacked_vcpu = victim.is_virtual and not getattr(
                 victim, "is_backed", True)

@@ -10,6 +10,8 @@ short-lived events and the per-instance ``__dict__`` was the single
 largest allocation on the hot path.
 """
 
+from heapq import heappush
+
 from repro.sim.errors import SimulationError
 
 # Sentinel for "not yet triggered".
@@ -123,11 +125,19 @@ class Timeout(Event):
     def __init__(self, env, delay, value=None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self._delay = int(delay)
+        # Event.__init__ and Environment.schedule inlined: timeouts are
+        # the most frequently created event.
+        self.env = env
+        self.callbacks = []
         self._ok = True
         self._value = value
-        env.schedule(self, delay=self._delay)
+        self._defused = False
+        self._delay = delay = int(delay)
+        queue = env._queue
+        heappush(queue, (env._now + delay, PRIORITY_NORMAL, next(env._eid),
+                         self))
+        if len(queue) > env._heap_peak:
+            env._heap_peak = len(queue)
 
     @property
     def delay(self):
@@ -177,10 +187,9 @@ class Condition(Event):
     Build with :class:`AllOf` / :class:`AnyOf` rather than directly.
 
     Once the condition triggers, its ``_check`` callback is pruned from
-    every still-pending member event.  Long-lived members (a store's
-    ``when_nonempty`` watcher held across thousands of ``AnyOf`` waits)
-    would otherwise accumulate one dead callback per wait for the life
-    of the soak.
+    every still-pending member event.  A long-lived member raced by many
+    successive ``AnyOf`` waits would otherwise accumulate one dead
+    callback per wait for the life of the soak.
     """
 
     __slots__ = ("_evaluate", "_events", "_count")

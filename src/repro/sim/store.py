@@ -34,7 +34,7 @@ class Store:
     """
 
     __slots__ = ("env", "capacity", "name", "items", "_getters", "_putters",
-                 "_nonempty_watchers")
+                 "consumer")
 
     def __init__(self, env, capacity=None, name=None):
         if capacity is not None and capacity <= 0:
@@ -45,7 +45,10 @@ class Store:
         self.items = deque()
         self._getters = deque()
         self._putters = deque()
-        self._nonempty_watchers = []
+        # The poll-mode consumer of this store, if any: an object whose
+        # ``_bell`` attribute holds its armed wake event, or ``None`` while
+        # it is not sleeping (see :class:`~repro.dp.service.DPService`).
+        self.consumer = None
 
     def __len__(self):
         return len(self.items)
@@ -89,33 +92,6 @@ class Store:
             self._dispatch()
         return batch
 
-    def when_nonempty(self):
-        """Event that fires once the store holds at least one item.
-
-        Unlike :meth:`get`, this does not consume anything — poll-mode
-        consumers use it to sleep through idle periods without losing their
-        place at the queue.
-        """
-        event = StoreGet(self)
-        if self.items:
-            event.succeed(len(self.items))
-        else:
-            self._nonempty_watchers.append(event)
-        return event
-
-    def cancel_nonempty(self, event):
-        """Withdraw a pending :meth:`when_nonempty` watcher.
-
-        Poll-mode consumers that stopped caring (their wait was satisfied by
-        a different store or a control event) call this so abandoned
-        watchers don't pile up for the life of a soak.  A watcher that has
-        already fired, or was never registered, is ignored.
-        """
-        try:
-            self._nonempty_watchers.remove(event)
-        except ValueError:
-            pass
-
     def _dispatch(self):
         # Move items from pending putters to the buffer, then satisfy getters.
         progressed = True
@@ -130,11 +106,12 @@ class Store:
                 get_event = self._getters.popleft()
                 get_event.succeed(self.items.popleft())
                 progressed = True
-            if self.items and self._nonempty_watchers:
-                watchers, self._nonempty_watchers = self._nonempty_watchers, []
-                for watcher in watchers:
-                    watcher.succeed(len(self.items))
-                progressed = True
+            if self.items and self.consumer is not None:
+                # Ring the consumer's doorbell without consuming anything:
+                # it wakes and drains the store with get_batch.
+                bell = self.consumer._bell
+                if bell is not None and not bell.triggered:
+                    bell.succeed(len(self.items))
 
     def __repr__(self):
         return f"<Store {self.name!r} items={len(self.items)} cap={self.capacity}>"

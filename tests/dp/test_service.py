@@ -1,6 +1,6 @@
 """Tests for poll-mode DP services."""
 
-from repro.dp import DPService, DPServiceParams, deploy_dp_services
+from repro.dp import DPServiceParams, deploy_dp_services
 from repro.hw import IORequest, PacketKind, SmartNIC
 from repro.sim import Environment, MILLISECONDS
 
@@ -130,3 +130,42 @@ def test_utilization_metric():
     env.run(until=1 * MILLISECONDS)
     util = services[0].utilization(1 * MILLISECONDS)
     assert abs(util - 0.01) < 0.005
+
+
+def test_doorbell_rings_at_once_if_items_present():
+    # A store that already holds packets rings the freshly armed bell,
+    # checked in rx_stores order, without consuming anything.
+    env, board = make_board()
+    service = deploy_dp_services(board, "net", cpu_ids=[0],
+                                 queues_per_cpu=2)[0]
+    first, second = service.rx_stores
+    second.put("a")
+    second.put("b")
+    service._arrival_event()
+    assert service._bell.triggered
+    assert service._bell.value == 2  # the first non-empty store's length
+    assert len(first) == 0 and len(second) == 2
+
+
+def test_arrival_event_keeps_one_relay_hop_for_several_stores():
+    env, board = make_board()
+    single, double = deploy_dp_services(board, "net", cpu_ids=[0, 1])
+    double.adopt_queue(("net", 0, 0))
+    assert single._arrival_event() is single._bell
+    arrival = double._arrival_event()
+    assert arrival is not double._bell
+    assert arrival._events == [double._bell]
+
+
+def test_adopt_and_release_retarget_store_consumer():
+    env, board = make_board()
+    first, second = deploy_dp_services(board, "net", cpu_ids=[0, 1])
+    store = board.accelerator.queue_store(("net", 1, 0))
+    assert store.consumer is second
+    first.adopt_queue(("net", 1, 0))
+    assert store.consumer is first
+    # The previous poller lets go without unhooking the new consumer.
+    second.release_queue(("net", 1, 0))
+    assert store.consumer is first
+    first.release_queue(("net", 1, 0))
+    assert store.consumer is None

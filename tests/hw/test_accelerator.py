@@ -1,6 +1,8 @@
 """Tests for the accelerator pipeline and its probe hooks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw import Accelerator, AcceleratorParams, CpuIoState, HardwareWorkloadProbe, IORequest, PacketKind
 from repro.sim import Environment, Store
@@ -97,3 +99,35 @@ def test_retarget_queue():
 def test_window_matches_figure6():
     env, accel, store = make()
     assert accel.window_ns == 3_200  # 2.7 us + 0.5 us
+
+
+@given(
+    pipelines=st.integers(min_value=1, max_value=8),
+    submits=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4_000),   # gap before submit
+            st.integers(min_value=0, max_value=20_000),  # stall_until_ns
+        ),
+        min_size=1, max_size=40,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_engine_heap_matches_linear_scan(pipelines, submits):
+    """The engine heap claims the same (engine, start) as a min() scan."""
+    params = AcceleratorParams(pipelines=pipelines)
+    env, accel, store = make(params=params)
+    free_ns = [0] * pipelines
+    for gap, stall_until_ns in submits:
+        env.run(until=env.now + gap)
+        accel.stall_until_ns = stall_until_ns
+        engine = min(range(pipelines), key=free_ns.__getitem__)
+        start = max(env.now, free_ns[engine], stall_until_ns)
+        free_ns[engine] = start + params.preprocess_ns
+
+        before = set(accel._engines)
+        req = request()
+        accel.submit(req)
+        (claimed,) = before - set(accel._engines)
+        assert (claimed[1], req.t_accel_start) == (engine, start)
+    assert sorted(accel._engines) == sorted(
+        (free, engine) for engine, free in enumerate(free_ns))

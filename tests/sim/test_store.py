@@ -105,16 +105,26 @@ def test_get_batch_respects_limit_and_order():
     assert store.get_batch(1) == []
 
 
-def test_when_nonempty_fires_without_consuming():
+class Sleeper:
+    """A poll-mode consumer: arms ``_bell`` to sleep until a store fills."""
+
+    def __init__(self, store):
+        self._bell = None
+        store.consumer = self
+
+
+def test_doorbell_rings_without_consuming():
     env = Environment()
     store = Store(env)
+    sleeper = Sleeper(store)
     seen = []
 
-    def watcher(env):
-        count = yield store.when_nonempty()
+    def waiter(env):
+        sleeper._bell = env.event()
+        count = yield sleeper._bell
         seen.append((count, len(store)))
 
-    env.process(watcher(env))
+    env.process(waiter(env))
 
     def producer(env):
         yield env.timeout(5)
@@ -125,33 +135,28 @@ def test_when_nonempty_fires_without_consuming():
     assert seen == [(1, 1)]  # item still in the store
 
 
-def test_when_nonempty_immediate_if_items_present():
+def test_disarmed_doorbell_never_rings():
     env = Environment()
     store = Store(env)
+    sleeper = Sleeper(store)
+    bell = sleeper._bell = env.event()
+    sleeper._bell = None  # disarm
     store.put("x")
     env.run()
-    event = store.when_nonempty()
-    assert event.triggered
+    # The disarmed bell never rings even though the store filled.
+    assert not bell.triggered
 
 
-def test_cancel_nonempty_unsubscribes_watcher():
+def test_disarm_after_ringing_is_a_noop():
     env = Environment()
     store = Store(env)
-    event = store.when_nonempty()
-    store.cancel_nonempty(event)
+    sleeper = Sleeper(store)
+    bell = sleeper._bell = env.event()
     store.put("x")
+    store.put("y")  # an already-rung bell is not rung twice
     env.run()
-    # The cancelled watcher never fires even though the store filled.
-    assert not event.triggered
-    assert store._nonempty_watchers == []
-
-
-def test_cancel_nonempty_tolerates_already_fired_watcher():
-    env = Environment()
-    store = Store(env)
-    event = store.when_nonempty()
-    store.put("x")
+    assert bell.triggered and bell.value == 1
+    sleeper._bell = None  # disarm after the ring
+    store.put("z")
     env.run()
-    assert event.triggered
-    store.cancel_nonempty(event)  # no-op, no raise
-    store.cancel_nonempty(event)  # idempotent
+    assert bell.value == 1
