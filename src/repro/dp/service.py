@@ -278,9 +278,9 @@ class DPService:
         service's bell never rings; only control wakes it.
 
         With more than one store the bell is raced through a one-member
-        ``AnyOf``.  That relay hop keeps the wake one heap entry behind the
-        ring, where pinned results expect it; without it the wake reorders
-        against events that share its instant.
+        ``AnyOf``.  The relay hop is kept because it is an event: fleet
+        node metrics count ``engine_events``, so collapsing it changes the
+        pinned fleet digest.  Simulated results do not depend on it.
         """
         bell = self.env.event()
         self._bell = bell

@@ -5,8 +5,10 @@ picks threads, charges context-switch costs, advances simulated time for
 their instructions, refuses kernel preemption inside non-preemptible
 sections, and runs pending softirqs at instruction boundaries.
 
-The executor's time advancement is factored through two primitives —
-:meth:`CPU._advance` and :meth:`CPU._await` — that catch interrupts.  A
+The executor is one generator frame (:meth:`CPU._main`): the common
+instructions advance time inline, one timeout each.  Interrupted stretches,
+slice expiry and the rarer instructions go through two general primitives
+— :meth:`CPU._advance` and :meth:`CPU._await` — that catch interrupts.  A
 *kick* (reschedule request) sets ``need_resched`` and may end a preemptible
 chunk early; a *revocation* (only meaningful for
 :class:`~repro.virt.vcpu.VirtualCPU`) freezes the executor mid-instruction
@@ -18,6 +20,7 @@ routines) and VM-exit (always possible).
 import enum
 
 from repro.sim.errors import Interrupt
+from repro.sim.events import Event, Timeout
 from repro.kernel.instructions import (
     Compute,
     Exit,
@@ -54,6 +57,15 @@ _DONE = "done"
 _PREEMPTED = "preempted"
 _BLOCKED = "blocked"
 _EXITED = "exited"
+
+
+def _waker(kernel, thread):
+    """Callback waking blocked ``thread`` with its event's value."""
+
+    def _wake(event):
+        kernel.wake_thread(thread, result=event.value)
+
+    return _wake
 
 
 class CPU:
@@ -202,6 +214,9 @@ class CPU:
         return self.load()
 
     # -- Extension points (overridden by VirtualCPU) -----------------------------
+    #
+    # The executor consults ``_gate`` and ``on_idle_enter`` only on CPUs
+    # with ``is_virtual`` set.
 
     def _gate(self):
         """Wait until the CPU may execute (vCPUs wait for a backing grant)."""
@@ -244,18 +259,13 @@ class CPU:
                 self._interrupt_ok = False
                 elapsed = chunk
             except Interrupt as interrupt:
-                self._interrupt_ok = False
                 elapsed = self.env.now - start
                 remaining -= elapsed
                 consumed += elapsed
                 self.busy_ns += elapsed
-                if interrupt.cause is KICK:
-                    self._kick_pending = False
-                    yield from self._softirqs_inline()
-                    if preempt_ok and self._should_preempt():
-                        return consumed
-                else:
-                    yield from self._handle_cause(interrupt.cause)
+                kicked = yield from self._take_interrupt(interrupt.cause)
+                if kicked and preempt_ok and self._should_preempt():
+                    return consumed
                 continue
             remaining -= elapsed
             consumed += elapsed
@@ -274,12 +284,7 @@ class CPU:
                 self._interrupt_ok = False
                 break
             except Interrupt as interrupt:
-                self._interrupt_ok = False
-                if interrupt.cause is KICK:
-                    self._kick_pending = False
-                    yield from self._softirqs_inline()
-                else:
-                    yield from self._handle_cause(interrupt.cause)
+                yield from self._take_interrupt(interrupt.cause)
                 if event.processed:
                     value = event.value
                     break
@@ -296,39 +301,269 @@ class CPU:
         """Public wrapper: burn ``ns`` non-preemptibly (softirq handlers)."""
         return self._advance(ns, preempt_ok=False)
 
+    def _take_interrupt(self, cause):
+        """Handle an interrupt caught at a wait; returns True for a kick.
+
+        A kick runs pending softirqs (irq-exit semantics); any other cause
+        goes to :meth:`_handle_cause`.  Every wait that catches an
+        ``Interrupt`` — in :meth:`_advance`, :meth:`_await` and the
+        executor's inline fast paths — handles it here.
+        """
+        self._interrupt_ok = False
+        if cause is KICK:
+            self._kick_pending = False
+            yield from self._softirqs_inline()
+            return True
+        yield from self._handle_cause(cause)
+        return False
+
+    def _interrupted(self, interrupt, start, remaining, preempt_ok):
+        """Finish an inline advance that ``interrupt`` cut short.
+
+        The executor's fast paths yield one timeout for a whole
+        ``remaining``-ns stretch begun at ``start``.  When an interrupt
+        lands inside it, this accounts the part already run, handles the
+        cause exactly as :meth:`_advance` does, and runs the rest through
+        :meth:`_advance`.  Returns the nanoseconds consumed in total.
+        """
+        elapsed = self.env.now - start
+        self.busy_ns += elapsed
+        kicked = yield from self._take_interrupt(interrupt.cause)
+        if kicked and preempt_ok and self._should_preempt():
+            return elapsed
+        return elapsed + (yield from self._advance(remaining - elapsed,
+                                                   preempt_ok))
+
+    def _await_rest(self, event, interrupt):
+        """Finish an inline non-busy wait on ``event`` cut short by
+        ``interrupt``, as :meth:`_await` would."""
+        yield from self._take_interrupt(interrupt.cause)
+        if event.processed:
+            return event.value
+        return (yield from self._await(event, busy=False))
+
     # -- Scheduler loop ------------------------------------------------------------
 
     def _main(self):
+        """The executor: one generator frame runs the whole CPU.
+
+        Idle waits, dispatch, instruction fetch and the common
+        instructions (``Compute``, ``KernelSection``, ``Syscall`` and
+        ``WaitEvent``, subclasses included) run inline: a timed
+        instruction no slice end can cut is one ``Timeout``.  Everything
+        else goes through the general machinery — an interrupt caught at
+        an inline yield through :meth:`_interrupted` / :meth:`_await_rest`,
+        slice expiry through :meth:`_advance`, ``Sleep``, locks,
+        ``YieldCPU`` and ``Exit`` through :meth:`_run_instruction`,
+        softirqs through :meth:`_run_softirqs`, the vCPU gate and
+        revocation through :meth:`_gate` / :meth:`_handle_cause` — and
+        creates the same events in the same order as a chain of nested
+        generators would.
+        """
+        env = self.env
+        kernel = self.kernel
+        params = kernel.params
+        runqueue = self.runqueue
+        softirqs = kernel.softirq._pending
+        cpu_id = self.cpu_id
+        is_virtual = self.is_virtual
         while True:
             if self._offline_requested:
                 self._go_offline()
                 return
-            yield from self._gate()
-            if self.kernel.softirq.pending(self):
+            if is_virtual:
+                yield from self._gate()
+            if softirqs.get(cpu_id):
                 yield from self._run_softirqs()
                 continue
-            thread = self.runqueue.pick_next()
-            if thread is None:
-                yield from self._idle_once()
-                continue
-            self.need_resched = False
-            yield from self._dispatch(thread)
+            thread = runqueue.pick_next()
 
-    def _idle_once(self):
-        self.state = CpuState.IDLE
-        self.on_idle_enter()
-        if not self.runqueue.is_empty or self.kernel.softirq.pending(self):
-            return
-        if self.kernel.try_fill_idle(self):
-            return
-        if not self.runqueue.is_empty or self.kernel.softirq.pending(self):
-            return
-        wakeup = self.env.event()
-        self._idle_wakeup = wakeup
-        start = self.env.now
-        yield from self._await(wakeup, busy=False)
-        self._idle_wakeup = None
-        self.idle_ns += self.env.now - start
+            if thread is None:
+                # Idle: try new-idle balancing, then wait for a kick.
+                self.state = CpuState.IDLE
+                if is_virtual:
+                    self.on_idle_enter()
+                if runqueue._rt or runqueue._fair or softirqs.get(cpu_id):
+                    continue
+                if kernel.try_fill_idle(self):
+                    continue
+                if runqueue._rt or runqueue._fair or softirqs.get(cpu_id):
+                    continue
+                wakeup = Event(env)
+                self._idle_wakeup = wakeup
+                start = env._now
+                self._interrupt_ok = True
+                try:
+                    yield wakeup
+                    self._interrupt_ok = False
+                except Interrupt as interrupt:
+                    yield from self._await_rest(wakeup, interrupt)
+                self._idle_wakeup = None
+                self.idle_ns += env._now - start
+                continue
+
+            # Dispatch: run ``thread`` until it blocks, exits, or is
+            # preempted.  The thread is owed to this CPU from the moment
+            # it is popped — ``current`` must be visible before any wait,
+            # or a vCPU revoked during the context-switch charge would look
+            # idle and strand it.
+            self.need_resched = False
+            self.context_switches += 1
+            self.current = thread
+            thread.cpu = self
+            switch_ns = int(params.context_switch_ns)
+            if switch_ns > 0:
+                start = env._now
+                self._interrupt_ok = True
+                try:
+                    yield Timeout(env, switch_ns)
+                    self._interrupt_ok = False
+                    self.busy_ns += switch_ns
+                except Interrupt as interrupt:
+                    yield from self._interrupted(interrupt, start, switch_ns,
+                                                 False)
+
+            now = env._now
+            self.state = CpuState.RUNNING
+            thread.state = ThreadState.RUNNING
+            thread.last_cpu = cpu_id
+            tracer = kernel.tracer
+            if tracer.enabled:
+                tracer.record(now, cpu_id, "sched_in",
+                              thread=thread.name, rq=len(runqueue))
+            if thread.wait_since_ns is not None:
+                kernel.record_sched_latency(now - thread.wait_since_ns)
+                thread.wait_since_ns = None
+            self._slice_end = (
+                now + params.sched_slice_ns
+                if thread.sched_class is SchedClass.FAIR
+                else None
+            )
+            stint_start = now
+
+            outcome = _DONE
+            while outcome is _DONE:
+                # Fetch: resume a preempted instruction or advance the body.
+                instruction = thread.current_instruction
+                if instruction is not None:
+                    remaining = thread.remaining_ns
+                else:
+                    try:
+                        if thread.started and hasattr(thread.body, "send"):
+                            instruction = thread.body.send(
+                                thread.pending_result)
+                        else:
+                            # First advance, or a plain iterator body.
+                            thread.started = True
+                            instruction = next(thread.body)
+                    except StopIteration as stop:
+                        thread.exit_value = stop.value
+                    else:
+                        thread.pending_result = None
+                        thread.current_instruction = instruction
+                        remaining = thread.remaining_ns = int(
+                            getattr(instruction, "ns", 0) * self.work_tax)
+
+                if instruction is None:
+                    outcome = _EXITED
+                elif self.instruction_hook is not None:
+                    self.instruction_hook(thread, instruction)
+
+                # Exact-type checks first; subclasses take the same paths.
+                kind = type(instruction)
+                if kind is Compute or isinstance(instruction, Compute):
+                    preempt_ok = (not thread.locks_held
+                                  and self.preempt_depth == 0)
+                    consumed = remaining
+                    slice_end = self._slice_end
+                    if (preempt_ok and slice_end is not None
+                            and env._now + remaining > slice_end):
+                        # The slice may end first: let _advance decide.
+                        consumed = yield from self._advance(remaining, True)
+                    elif remaining > 0:
+                        start = env._now
+                        self._interrupt_ok = True
+                        try:
+                            yield Timeout(env, remaining)
+                            self._interrupt_ok = False
+                            self.busy_ns += remaining
+                        except Interrupt as interrupt:
+                            consumed = yield from self._interrupted(
+                                interrupt, start, remaining, preempt_ok)
+                    if consumed < remaining:
+                        thread.remaining_ns = remaining - consumed
+                        outcome = _PREEMPTED
+                    else:
+                        thread.current_instruction = None
+                        thread.remaining_ns = 0
+                        thread.pending_result = None
+                elif (kind is KernelSection or kind is Syscall
+                      or isinstance(instruction, (KernelSection, Syscall))):
+                    if remaining == 0 and isinstance(instruction, Syscall):
+                        remaining = thread.remaining_ns = int(
+                            (instruction.entry_ns + instruction.body_ns
+                             + instruction.exit_ns) * self.work_tax)
+                    self.preempt_depth += 1
+                    start = env._now
+                    if remaining > 0:
+                        self._interrupt_ok = True
+                        try:
+                            yield Timeout(env, remaining)
+                            self._interrupt_ok = False
+                            self.busy_ns += remaining
+                        except Interrupt as interrupt:
+                            yield from self._interrupted(
+                                interrupt, start, remaining, False)
+                    self.preempt_depth -= 1
+                    elapsed = env._now - start
+                    self.nonpreemptible_ns += elapsed
+                    kernel.record_nonpreemptible(elapsed)
+                    thread.current_instruction = None
+                    thread.remaining_ns = 0
+                    thread.pending_result = None
+                elif kind is WaitEvent or isinstance(instruction, WaitEvent):
+                    event = instruction.event
+                    thread.current_instruction = None
+                    thread.remaining_ns = 0
+                    if event.callbacks is None:
+                        # Already processed: the body gets its value now.
+                        thread.pending_result = event._value
+                    else:
+                        thread.pending_result = None  # set by wake_thread
+                        thread.state = ThreadState.BLOCKED
+                        thread.cpu = None
+                        event.callbacks.append(_waker(kernel, thread))
+                        outcome = _BLOCKED
+                elif instruction is not None:
+                    outcome = yield from self._run_instruction(thread,
+                                                               instruction)
+
+                if softirqs.get(cpu_id):
+                    yield from self._run_softirqs()
+                if (outcome is _DONE and self.need_resched
+                        and self._should_preempt()):
+                    outcome = _PREEMPTED
+
+            now = env._now
+            ran_ns = now - stint_start
+            runqueue.charge(thread, ran_ns)
+            if tracer.enabled:
+                tracer.record(now, cpu_id, "sched_out",
+                              thread=thread.name, outcome=outcome,
+                              ran_ns=ran_ns)
+                tracer.record(now, cpu_id, "rq_depth",
+                              depth=len(runqueue))
+            self.current = None
+            self._slice_end = None
+            self.state = CpuState.IDLE
+
+            if outcome is _PREEMPTED:
+                thread.state = ThreadState.READY
+                thread.cpu = None
+                kernel.place_thread(thread, preferred=cpu_id)
+            elif outcome is _EXITED:
+                kernel.finish_thread(thread)
+            # _BLOCKED: the wake path will re-place the thread.
 
     def _run_softirqs(self):
         self.softirq_runs += 1
@@ -349,79 +584,12 @@ class CPU:
         if not self._in_softirq and self.kernel.softirq.pending(self):
             yield from self._run_softirqs()
 
-    def _dispatch(self, thread):
-        """Run ``thread`` until it blocks, exits, or is preempted."""
-        params = self.kernel.params
-        self.context_switches += 1
-        # The thread is owed to this CPU from the moment it is popped —
-        # `current` must be visible before any wait, or a vCPU revoked
-        # during the context-switch charge would look idle and strand it.
-        self.current = thread
-        thread.cpu = self
-        yield from self._advance(params.context_switch_ns, preempt_ok=False)
-
-        self.state = CpuState.RUNNING
-        thread.state = ThreadState.RUNNING
-        thread.last_cpu = self.cpu_id
-        tracer = self.kernel.tracer
-        if tracer.enabled:
-            tracer.record(self.env.now, self.cpu_id, "sched_in",
-                          thread=thread.name, rq=len(self.runqueue))
-        if thread.wait_since_ns is not None:
-            self.kernel.record_sched_latency(self.env.now - thread.wait_since_ns)
-            thread.wait_since_ns = None
-        self._slice_end = (
-            self.env.now + params.sched_slice_ns
-            if thread.sched_class is SchedClass.FAIR
-            else None
-        )
-        stint_start = self.env.now
-
-        outcome = _DONE
-        while outcome is _DONE:
-            outcome = yield from self._run_one_instruction(thread)
-            if self.kernel.softirq.pending(self):
-                yield from self._run_softirqs()
-            if outcome is _DONE and self.need_resched and self._should_preempt():
-                outcome = _PREEMPTED
-
-        ran_ns = self.env.now - stint_start
-        self.runqueue.charge(thread, ran_ns)
-        if tracer.enabled:
-            tracer.record(self.env.now, self.cpu_id, "sched_out",
-                          thread=thread.name, outcome=outcome,
-                          ran_ns=ran_ns)
-            tracer.record(self.env.now, self.cpu_id, "rq_depth",
-                          depth=len(self.runqueue))
-        self.current = None
-        self._slice_end = None
-        self.state = CpuState.IDLE
-
-        if outcome is _PREEMPTED:
-            thread.state = ThreadState.READY
-            thread.cpu = None
-            self.kernel.place_thread(thread, preferred=self.cpu_id)
-        elif outcome is _EXITED:
-            self.kernel.finish_thread(thread)
-        # _BLOCKED: the wake path will re-place the thread.
-
     # -- Instruction interpreters -----------------------------------------------
 
-    def _run_one_instruction(self, thread):
-        instruction, remaining = self._next_work(thread)
-        if instruction is None:
-            return _EXITED
-        if self.instruction_hook is not None:
-            self.instruction_hook(thread, instruction)
-
-        if isinstance(instruction, Compute):
-            return (yield from self._do_compute(thread, instruction, remaining))
-        if isinstance(instruction, (KernelSection, Syscall)):
-            return (yield from self._do_nonpreemptible(thread, instruction, remaining))
+    def _run_instruction(self, thread, instruction):
+        """Interpret an instruction the executor does not run inline."""
         if isinstance(instruction, Sleep):
             return self._do_sleep(thread, instruction)
-        if isinstance(instruction, WaitEvent):
-            return self._do_wait_event(thread, instruction)
         if isinstance(instruction, LockAcquire):
             return (yield from self._do_lock_acquire(thread, instruction))
         if isinstance(instruction, LockRelease):
@@ -439,56 +607,10 @@ class CPU:
             return _EXITED
         raise TypeError(f"unknown instruction {instruction!r}")
 
-    def _next_work(self, thread):
-        """Return (instruction, remaining_ns), resuming a preempted one."""
-        if thread.current_instruction is not None:
-            return thread.current_instruction, thread.remaining_ns
-        try:
-            if thread.started and hasattr(thread.body, "send"):
-                instruction = thread.body.send(thread.pending_result)
-            else:
-                # First advance, or a plain iterator body (no send protocol).
-                thread.started = True
-                instruction = next(thread.body)
-        except StopIteration as stop:
-            thread.exit_value = stop.value
-            return None, 0
-        thread.pending_result = None
-        thread.current_instruction = instruction
-        thread.remaining_ns = int(getattr(instruction, "ns", 0) * self.work_tax)
-        return instruction, thread.remaining_ns
-
     def _finish_instruction(self, thread, result):
         thread.current_instruction = None
         thread.remaining_ns = 0
         thread.pending_result = result
-
-    def _do_compute(self, thread, instruction, remaining):
-        preempt_ok = not thread.holds_locks and self.preempt_depth == 0
-        consumed = yield from self._advance(remaining, preempt_ok=preempt_ok)
-        if consumed < remaining:
-            thread.remaining_ns = remaining - consumed
-            return _PREEMPTED
-        self._finish_instruction(thread, None)
-        return _DONE
-
-    def _do_nonpreemptible(self, thread, instruction, remaining):
-        if isinstance(instruction, Syscall) and remaining == 0:
-            remaining = int(
-                (instruction.entry_ns + instruction.body_ns + instruction.exit_ns)
-                * self.work_tax
-            )
-            thread.remaining_ns = remaining
-        self.preempt_depth += 1
-        start = self.env.now
-        try:
-            yield from self._advance(remaining, preempt_ok=False)
-        finally:
-            self.preempt_depth -= 1
-        self.nonpreemptible_ns += self.env.now - start
-        self.kernel.record_nonpreemptible(self.env.now - start)
-        self._finish_instruction(thread, None)
-        return _DONE
 
     def _do_sleep(self, thread, instruction):
         kernel = self.kernel
@@ -500,23 +622,6 @@ class CPU:
 
         self.env.timeout(instruction.ns).callbacks.append(_wake)
         self._finish_instruction(thread, None)
-        return _BLOCKED
-
-    def _do_wait_event(self, thread, instruction):
-        event = instruction.event
-        if event.processed:
-            self._finish_instruction(thread, event.value)
-            return _DONE
-        kernel = self.kernel
-        thread.state = ThreadState.BLOCKED
-        thread.cpu = None
-
-        def _wake(ev):
-            kernel.wake_thread(thread, result=ev.value)
-
-        event.callbacks.append(_wake)
-        self._finish_instruction(thread, None)
-        thread.pending_result = None  # filled by wake_thread
         return _BLOCKED
 
     def _do_lock_acquire(self, thread, instruction):

@@ -264,22 +264,36 @@ class Kernel:
         return False
 
     def steal_work(self, idle_cpu):
-        """Pull one waiting fair thread onto ``idle_cpu`` (newidle balance)."""
+        """Pull one waiting fair thread onto ``idle_cpu`` (newidle balance).
+
+        The first victim (in CPU registration order) that is congested or
+        an unbacked vCPU, and queues a fair thread allowed on ``idle_cpu``,
+        gives up the eligible fair thread with the lowest ``(vruntime,
+        tid)``.  Realtime threads are never stolen.
+        """
+        idle_id = idle_cpu.cpu_id
         for victim in self.cpus.values():
             rq = victim.runqueue
-            if victim is idle_cpu or not (rq._rt or rq._fair):
+            if victim is idle_cpu or not rq._fair:
                 continue
             unbacked_vcpu = victim.is_virtual and not getattr(
                 victim, "is_backed", True)
             if not unbacked_vcpu and victim.load() < 2:
                 continue
-            for thread in victim.runqueue.threads():
-                if (thread.sched_class is SchedClass.FAIR
-                        and thread.can_run_on(idle_cpu.cpu_id)):
-                    victim.runqueue.dequeue(thread)
-                    self.steals += 1
-                    idle_cpu.enqueue(thread)
-                    return thread
+            best = None
+            for thread in rq._fair:
+                if thread.can_run_on(idle_id) and (
+                        best is None
+                        or thread.vruntime < best.vruntime
+                        or (thread.vruntime == best.vruntime
+                            and thread.tid < best.tid)):
+                    best = thread
+            if best is None:
+                continue
+            rq.dequeue(best)
+            self.steals += 1
+            idle_cpu.enqueue(best)
+            return best
         return None
 
     def finish_thread(self, thread):

@@ -94,7 +94,6 @@ class RunQueue:
         thread.total_runtime_ns += ran_ns
         if thread.sched_class is SchedClass.FAIR:
             thread.vruntime += ran_ns / max(thread.nice_weight, 1e-9)
-            self.min_vruntime = max(self.min_vruntime, 0.0)
 
     def threads(self):
         """Snapshot list of queued threads (realtime first)."""

@@ -246,10 +246,6 @@ class Condition(Event):
     def all_events(events, count):
         return len(events) == count
 
-    @staticmethod
-    def any_events(events, count):
-        return count > 0 or not events
-
 
 class AllOf(Condition):
     """Triggers when all given events have triggered."""
@@ -261,9 +257,51 @@ class AllOf(Condition):
 
 
 class AnyOf(Condition):
-    """Triggers when any of the given events has triggered."""
+    """Triggers when any of the given events has triggered.
+
+    Construction and ``_check`` are written out for the one-winner case
+    (every idle DP wait races an ``AnyOf``): no ``evaluate`` callback, no
+    member count and no property reads.  They build the same
+    :class:`ConditionValue`, apply the same fail/defuse rule, prune the
+    same callbacks and make the same ``succeed``/``fail`` call as
+    :class:`Condition` did with an any-of rule.
+    """
 
     __slots__ = ()
 
     def __init__(self, env, events):
-        super().__init__(env, Condition.any_events, events)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
+        self._events = events = list(events)
+
+        for event in events:
+            if event.env is not env:
+                raise SimulationError("events belong to different environments")
+
+        if not events:
+            self.succeed(ConditionValue([]))
+            return
+
+        check = self._check
+        for event in events:
+            if event.callbacks is None:
+                # Already processed: it wins now, and ``_check`` prunes the
+                # earlier members; later ones never get ``_check``.
+                check(event)
+                break
+            event.callbacks.append(check)
+
+    def _check(self, event):
+        if self._value is not _PENDING:
+            return
+        if not event._ok and not event._defused:
+            event._defused = True
+            self.fail(event._value)
+        else:
+            self.succeed(ConditionValue(
+                [member for member in self._events
+                 if member._value is not _PENDING]))
+        self._prune()

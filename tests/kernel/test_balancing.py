@@ -113,3 +113,50 @@ def test_placement_penalizes_unbacked_vcpus():
     env.run(until=3 * MILLISECONDS)
     # Idle pCPU 0 beats the unbacked vCPU despite equal queue lengths.
     assert thread.last_cpu == 0
+
+
+def _queue_on_cpu0(kernel, env, specs):
+    """Stack fair threads on CPU 0's queue: ``(name, affinity, vruntime)``."""
+    from repro.kernel import KThread
+
+    threads = []
+    for name, affinity, vruntime in specs:
+        thread = KThread(name, iter([Compute(1 * MILLISECONDS)]),
+                         affinity=affinity)
+        thread.done = env.event()
+        thread.vruntime = vruntime
+        kernel.threads[thread.tid] = thread
+        kernel.cpus[0].enqueue(thread)
+        threads.append(thread)
+    return threads
+
+
+def test_idle_cpu_outside_every_queued_affinity_steals_nothing():
+    env = Environment()
+    kernel = Kernel(env)
+    for cpu_id in range(3):
+        kernel.add_cpu(cpu_id)
+    _queue_on_cpu0(kernel, env, [("a", {0, 2}, 1.0), ("b", {0}, 0.5),
+                                 ("c", {2}, 2.0)])
+    assert kernel.steal_work(kernel.cpus[1]) is None
+    assert kernel.steals == 0
+    assert len(kernel.cpus[0].runqueue) == 3
+    assert kernel.cpus[1].runqueue.is_empty
+
+
+def test_eligible_idle_cpu_takes_lowest_vruntime_then_tid():
+    env = Environment()
+    kernel = Kernel(env)
+    for cpu_id in range(3):
+        kernel.add_cpu(cpu_id)
+    a, b, c, d = _queue_on_cpu0(kernel, env, [
+        ("a", {0, 2}, 5.0),
+        ("b", {0}, 3.0),       # lowest vruntime, but pinned to CPU 0
+        ("c", {0, 2}, 4.0),
+        ("d", None, 4.0),      # ties with c; c has the lower tid
+    ])
+    assert kernel.steal_work(kernel.cpus[2]) is c
+    assert kernel.steals == 1
+    assert kernel.cpus[2].runqueue.threads() == [c]
+    assert kernel.cpus[0].runqueue.threads() == [b, d, a]
+    assert kernel.steal_work(kernel.cpus[2]) is d

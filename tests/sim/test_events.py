@@ -178,3 +178,87 @@ def test_events_reject_adhoc_attributes():
                 env.process(proc(env))):
         with pytest.raises(AttributeError):
             obj.scratch = 1
+
+
+def test_any_of_empty_list_fires_immediately():
+    env = Environment()
+    done = []
+
+    def proc(env):
+        result = yield AnyOf(env, [])
+        done.append((env.now, len(result)))
+
+    env.process(proc(env))
+    env.run()
+    assert done == [(0, 0)]
+
+
+def test_any_of_with_processed_member_among_pending_ones():
+    env = Environment()
+    before, after = env.event(), env.event()
+    processed = env.timeout(1, value="x")
+    env.run()
+    condition = AnyOf(env, [before, processed, after])
+    assert condition.triggered
+    assert before.callbacks == [] and after.callbacks == []
+    env.run()
+    assert condition.ok
+    assert condition.value.todict() == {processed: "x"}
+
+
+def test_any_of_value_holds_every_member_triggered_at_the_check():
+    env = Environment()
+    first, second, third = env.event(), env.event(), env.event()
+    condition = AnyOf(env, [first, second, third])
+    first.succeed(1)
+    second.succeed(2)
+    env.run()
+    assert condition.value.todict() == {first: 1, second: 2}
+
+
+def test_any_of_failing_member_is_defused_and_propagated():
+    env = Environment()
+    failing, other = env.event(), env.event()
+    caught = []
+
+    def proc(env):
+        try:
+            yield AnyOf(env, [failing, other])
+        except ValueError as exc:
+            caught.append((env.now, str(exc)))
+
+    env.process(proc(env))
+    failing.fail(ValueError("boom"))
+    env.run()
+    assert caught == [(0, "boom")]
+    assert failing.defused
+    assert other.callbacks == []
+
+
+def test_any_of_already_defused_failure_counts_as_a_win():
+    env = Environment()
+    failing = env.event()
+    error = ValueError("handled")
+    failing.fail(error)
+    failing.defuse()
+    condition = AnyOf(env, [failing, env.event()])
+    env.run()
+    assert condition.ok
+    assert condition.value.todict() == {failing: error}
+
+
+def test_any_of_prunes_only_its_own_check_from_losers():
+    env = Environment()
+    winner, loser = env.event(), env.event()
+    seen = []
+    loser.callbacks.append(seen.append)
+    first = AnyOf(env, [winner, loser])
+    second = AnyOf(env, [loser, winner])
+    winner.succeed()
+    env.run()
+    assert first.triggered and second.triggered
+    # Both conditions detached from the loser; its own callback stays.
+    assert loser.callbacks == [seen.append]
+    loser.succeed("late")
+    env.run()
+    assert seen == [loser]
