@@ -32,8 +32,9 @@ def get_experiment(exp_id):
 def run_experiment(exp_id, scale=1.0, seed=0):
     """Run one experiment at the given scale factor; returns its result.
 
-    ``scale`` shrinks durations/round counts for quick runs (benchmarks use
-    small scales; 1.0 is the full published configuration of this repo).
+    ``scale`` shrinks durations/round counts for quick runs (the tier-1
+    shape test uses small scales; 1.0 is the full published configuration
+    of this repo).
     """
     entry = get_experiment(exp_id)
     return entry["run"](scale=scale, seed=seed)

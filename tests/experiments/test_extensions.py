@@ -1,91 +1,20 @@
-"""Tiny-scale runs of the ablation and extension experiments."""
+"""Threshold ablation: the adaptive threshold against fixed small/large ones."""
 
 import pytest
 
 from repro.experiments import run_experiment
 
-SCALE = 0.12
-
 
 @pytest.fixture(scope="module")
-def results():
-    return {}
+def ablation_threshold():
+    return run_experiment("ablation_threshold", scale=0.2, seed=0)
 
 
-def run_cached(results, exp_id, scale=SCALE):
-    if exp_id not in results:
-        results[exp_id] = run_experiment(exp_id, scale=scale, seed=0)
-    return results[exp_id]
-
-
-def test_ablation_threshold_adaptive_harvests_more_than_fixed_large(results):
-    result = run_cached(results, "ablation_threshold", scale=0.2)
-    derived = result.derived
+def test_ablation_threshold_adaptive_harvests_more_than_fixed_large(
+        ablation_threshold):
+    derived = ablation_threshold.derived
     assert derived["adaptive_harvested_ms"] > derived["large_harvested_ms"]
 
 
-def test_ablation_threshold_small_n_has_false_positives(results):
-    result = run_cached(results, "ablation_threshold", scale=0.2)
-    assert result.derived["small_false_positive_rate"] > 0.05
-
-
-def test_ablation_slice_adaptive_cuts_switch_overhead(results):
-    result = run_cached(results, "ablation_slice", scale=0.2)
-    derived = result.derived
-    assert (derived["adaptive_switch_overhead_pct"]
-            < derived["fixed_switch_overhead_pct"] * 0.7)
-
-
-def test_preemptible_kernel_context_bounds_rt_latency(results):
-    result = run_cached(results, "ext_preemptible_kernel", scale=0.3)
-    assert result.derived["max_latency_improvement"] > 2.0
-    direct, wrapped = result.rows
-    assert wrapped["rt_wake_max_us"] < 1_000  # sub-millisecond
-    assert direct["rt_wake_max_us"] > 1_000   # ms-scale inversion
-
-
-def test_audit_captures_privileged_instructions(results):
-    result = run_cached(results, "ext_audit", scale=0.3)
-    assert result.derived["records"] > 5
-    assert 0.1 < result.derived["privileged_fraction"] < 0.9
-
-
-def test_probe_fusion_reduces_premature_exits(results):
-    result = run_cached(results, "ext_probe_fusion", scale=0.25)
-    derived = result.derived
-    assert derived["premature_rate_fused"] < derived["premature_rate_plain"]
-    assert derived["premature_exits_avoided"] > 0
-
-
-def test_cache_isolation_removes_pollution_overhead(results):
-    result = run_cached(results, "ext_cache_isolation", scale=0.3)
-    assert result.derived["pollution_overhead_pct"] > 2.0
-
-
-def test_window_sweep_shows_the_observation4_crossover(results):
-    result = run_cached(results, "ext_window_sweep", scale=0.2)
-    derived = result.derived
-    assert derived["worst_added_qwait_covered_us"] < 0.5
-    assert (derived["worst_added_qwait_uncovered_us"]
-            > derived["worst_added_qwait_covered_us"])
-
-
-def test_production_soak_holds_both_slos(results):
-    result = run_cached(results, "ext_production_soak", scale=0.2)
-    assert result.derived["dp_p999_vs_baseline"] < 1.10
-    assert result.derived["startup_speedup"] > 1.0
-    assert (result.derived["taichi_startup_compliance_pct"]
-            >= result.derived["static_startup_compliance_pct"])
-
-
-def test_multitenant_isolation_holds_the_victim_slo(results):
-    result = run_cached(results, "ext_multitenant", scale=0.05)
-    derived = result.derived
-    # Isolation-on holds the declared 300us SLO the sharing arm breaches.
-    assert derived["victim_dp_p99_on_us"] <= 300.0
-    assert derived["victim_dp_p99_off_us"] > 300.0
-    assert derived["interference_ratio"] > 1.5
-    # The isolation invariants verified clean under the storm.
-    assert derived["isolation_invariant_violations"] == 0
-    # Harvesting still starts neighbor VMs the static partition cannot.
-    assert derived["noisy_vms_on"] > derived["noisy_vms_static"]
+def test_ablation_threshold_small_n_has_false_positives(ablation_threshold):
+    assert ablation_threshold.derived["small_false_positive_rate"] > 0.05

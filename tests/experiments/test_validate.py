@@ -1,6 +1,7 @@
 """Tests for the validation harness."""
 
 import os
+import re
 
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import ExperimentResult
@@ -12,18 +13,17 @@ from repro.experiments.validate import (
 )
 
 
+REPORT = os.path.join(os.path.dirname(__file__), "..", "..", "EXPERIMENTS.md")
+
+
 def test_every_experiment_has_an_expectation_entry():
-    # table2 is allowed an empty list (purely structural), all others
-    # must carry at least one shape band.
-    for exp_id in EXPERIMENTS:
-        assert exp_id in EXPECTATIONS, f"missing expectations for {exp_id}"
+    assert sorted(EXPECTATIONS) == sorted(EXPERIMENTS)
     for exp_id, expectations in EXPECTATIONS.items():
-        if exp_id != "table2":
-            assert expectations, f"{exp_id} has no shape checks"
+        assert expectations, f"{exp_id} has no shape checks"
 
 
 def test_expectation_evaluates_derived_metrics():
-    expectation = Expectation("x above 1", lambda d: d["x"] > 1)
+    expectation = Expectation("x above 1", lambda r: r.derived["x"] > 1)
     good = ExperimentResult("e", "t", "r", derived={"x": 2})
     bad = ExperimentResult("e", "t", "r", derived={"x": 0})
     assert expectation.evaluate(good)
@@ -31,9 +31,16 @@ def test_expectation_evaluates_derived_metrics():
 
 
 def test_expectation_missing_key_is_failure_not_crash():
-    expectation = Expectation("needs y", lambda d: d["y"] > 1)
+    expectation = Expectation("needs y", lambda r: r.derived["y"] > 1)
     result = ExperimentResult("e", "t", "r", derived={})
     assert expectation.evaluate(result) is False
+
+    row_band = Expectation(
+        "taichi row under 2%",
+        lambda r: {row["system"]: row for row in r.rows}["taichi"]["pct"] < 2)
+    result = ExperimentResult("e", "t", "r",
+                              rows=[{"system": "baseline", "pct": 0.0}])
+    assert row_band.evaluate(result) is False
 
 
 def test_run_validation_subset_and_report(tmp_path):
@@ -53,3 +60,37 @@ def test_run_validation_subset_and_report(tmp_path):
     assert "## fig6" in text
     assert "Shape checks" in text
     assert "- [x]" in text
+
+
+def test_report_is_byte_identical_across_jobs(tmp_path):
+    path = os.path.join(tmp_path, "EXPERIMENTS.md")
+    reports = []
+    for jobs in (1, 2):
+        outcomes = run_validation(scale=0.1, seed=0, jobs=jobs,
+                                  exp_ids=["ext_audit", "fig3", "fig6",
+                                           "table1"])
+        write_experiments_md(path, outcomes, scale=0.1, seed=0)
+        with open(path, "rb") as handle:
+            reports.append(handle.read())
+    assert reports[0] == reports[1]
+
+
+def test_checked_in_report_matches_the_registry_and_bands():
+    with open(REPORT) as handle:
+        text = handle.read()
+    n = len(EXPERIMENTS)
+    assert f"**Shape checks: {n}/{n} experiments pass all their bands.**" \
+        in text
+
+    sections = re.split(r"^## ", text, flags=re.MULTILINE)[1:]
+    ids, bands = [], {}
+    for section in sections:
+        heading, _, body = section.partition("\n")
+        exp_id, sep, _ = heading.partition(" — ")
+        if sep:
+            ids.append(exp_id)
+            bands[exp_id] = re.findall(r"^- \[x\] (.*)$", body,
+                                       flags=re.MULTILINE)
+    assert ids == sorted(EXPERIMENTS)
+    for exp_id, expectations in EXPECTATIONS.items():
+        assert bands[exp_id] == [e.description for e in expectations], exp_id
