@@ -13,9 +13,10 @@ period by one factor so the same storm fits a CI-scale run.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.sim.units import MICROSECONDS, MILLISECONDS, SECONDS
+from repro.spec_fields import check_fields, check_int, check_name
 
 #: Recognized fault kinds and the parameters each understands.
 FAULT_KINDS = {
@@ -50,14 +51,17 @@ class FaultSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in FAULT_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; "
                 f"choose from {sorted(FAULT_KINDS)}")
-        self.at_ns = int(self.at_ns)
-        self.duration_ns = int(self.duration_ns)
-        self.repeat = int(self.repeat)
-        self.period_ns = int(self.period_ns)
+        owner = f"fault {self.kind!r}"
+        for name in ("at_ns", "duration_ns", "repeat", "period_ns"):
+            setattr(self, name, check_int(owner, name, getattr(self, name)))
+        if not isinstance(self.params, dict):
+            raise ValueError(
+                f"{owner}: params must be a dict, got "
+                f"{type(self.params).__name__}")
         if self.at_ns < 0:
             raise ValueError("at_ns must be >= 0")
         if self.duration_ns < 0:
@@ -99,9 +103,17 @@ class FaultPlan:
     name: str = "custom"
 
     def __post_init__(self):
+        check_name("fault plan", "name", self.name)
+        if not isinstance(self.faults, (list, tuple)):
+            raise ValueError(
+                f"fault plan {self.name!r}: faults must be a list, got "
+                f"{type(self.faults).__name__}")
+        accepted = [f.name for f in fields(FaultSpec)]
         self.faults = [
-            spec if isinstance(spec, FaultSpec) else FaultSpec(**spec)
-            for spec in self.faults
+            spec if isinstance(spec, FaultSpec) else FaultSpec(
+                **check_fields(f"fault plan {self.name!r} fault #{index}",
+                               spec, accepted))
+            for index, spec in enumerate(self.faults)
         ]
 
     def scaled(self, factor, min_at_ns=3 * MILLISECONDS,
@@ -147,7 +159,8 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(faults=list(data.get("faults", ())),
+        check_fields("fault plan", data, ("faults", "name"))
+        return cls(faults=data.get("faults", []),
                    name=data.get("name", "custom"))
 
     @classmethod

@@ -44,7 +44,9 @@ import hashlib
 import json
 import os
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+
+from repro.spec_fields import check_fields, check_int, check_number
 
 #: Failure kinds a node outcome can carry.
 FAILURE_KINDS = ("exception", "crash", "timeout")
@@ -107,9 +109,15 @@ class RetryPolicy:
     timeout_multiplier: float = 1.0
 
     def __post_init__(self):
-        if int(self.max_attempts) < 1:
+        object.__setattr__(self, "max_attempts",
+                           check_int("retry", "max_attempts",
+                                     self.max_attempts))
+        for name in ("backoff_s", "backoff_multiplier", "timeout_multiplier"):
+            check_number("retry", name, getattr(self, name))
+        if self.timeout_s is not None:
+            check_number("retry", "timeout_s", self.timeout_s)
+        if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        object.__setattr__(self, "max_attempts", int(self.max_attempts))
         if self.backoff_s < 0:
             raise ValueError("backoff_s must be >= 0")
         if self.backoff_multiplier < 1.0:
@@ -149,7 +157,8 @@ class RetryPolicy:
         if isinstance(value, cls):
             return value
         if isinstance(value, dict):
-            return cls(**value)
+            return cls(**check_fields("retry", value,
+                                      [f.name for f in fields(cls)]))
         raise ValueError(
             f"retry must be a RetryPolicy or its dict, got "
             f"{type(value).__name__}")
@@ -227,17 +236,20 @@ def normalize_chaos(chaos):
                          f"got {type(chaos).__name__}")
     out = {}
     for node_id, entry in chaos.items():
-        if isinstance(entry, int):
+        owner = f"chaos[{node_id!r}]"
+        if isinstance(entry, int) and not isinstance(entry, bool):
             entry = {"fail_attempts": entry}
         elif not isinstance(entry, dict):
             raise ValueError(
-                f"chaos[{node_id!r}] must be an int or a dict, "
+                f"{owner} must be an int or a dict, "
                 f"got {type(entry).__name__}")
-        fail_attempts = int(entry.get("fail_attempts", -1))
+        check_fields(owner, entry, ("fail_attempts", "kind"))
+        fail_attempts = check_int(owner, "fail_attempts",
+                                  entry.get("fail_attempts", -1))
         kind = entry.get("kind", "exception")
         if kind not in ("exception", "crash"):
             raise ValueError(
-                f"chaos[{node_id!r}] kind must be 'exception' or 'crash', "
+                f"{owner} kind must be 'exception' or 'crash', "
                 f"got {kind!r}")
         out[node_id] = {"fail_attempts": fail_attempts, "kind": kind}
     return dict(sorted(out.items()))

@@ -15,7 +15,7 @@ makes results byte-identical at any ``--jobs`` level.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.fleet.durability import RetryPolicy, normalize_chaos
 
@@ -26,6 +26,17 @@ from repro.scenario.spec import (  # noqa: F401
     TRAFFIC_PROFILES,
     WorkloadMix,
 )
+from repro.spec_fields import (
+    check_bool,
+    check_fields,
+    check_int,
+    check_name,
+    check_number,
+)
+
+#: Keys a node dict may carry: the nested form plus the flat one.
+_NODE_FIELDS = ("node_id", "scenario", "deployment", "traffic", "workload",
+                "knobs", "dp_boost", "degradation", "faults")
 
 
 class NodeSpec:
@@ -71,7 +82,7 @@ class NodeSpec:
                           else WorkloadMix()),
                 knobs=knobs or {},
                 dp_boost=dp_boost or 0,
-                degradation=bool(degradation),
+                degradation=False if degradation is None else degradation,
                 faults=faults,
             )
 
@@ -112,7 +123,8 @@ class NodeSpec:
     @classmethod
     def from_dict(cls, data):
         """Accept both the nested form and the historical flat form."""
-        return cls(**data)
+        node_id = data.get("node_id") if isinstance(data, dict) else None
+        return cls(**check_fields(f"node {node_id!r}", data, _NODE_FIELDS))
 
     def __repr__(self):
         return f"<NodeSpec {self.node_id!r} {self.scenario!r}>"
@@ -156,30 +168,37 @@ class FleetSpec:
     chaos: object = None
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise ValueError("fleet name must be a non-empty string")
+        check_name("fleet", "name", self.name)
+        owner = f"fleet {self.name!r}"
+        if not isinstance(self.nodes, (list, tuple)):
+            raise ValueError(
+                f"{owner}: nodes must be a list, got "
+                f"{type(self.nodes).__name__}")
         self.nodes = [
             node if isinstance(node, NodeSpec) else NodeSpec.from_dict(node)
             for node in self.nodes
         ]
         if not self.nodes:
-            raise ValueError("a fleet needs at least one node")
+            raise ValueError("nodes: a fleet needs at least one node")
         seen = set()
         for node in self.nodes:
             if node.node_id in seen:
                 raise ValueError(f"duplicate node_id {node.node_id!r}")
             seen.add(node.node_id)
-        self.seed = int(self.seed)
+        self.seed = check_int(owner, "seed", self.seed)
+        for name in ("duration_ms", "drain_ms", "dp_slo_us",
+                     "telemetry_interval_ms"):
+            check_number(owner, name, getattr(self, name))
+        for name in ("raw_samples", "spans"):
+            check_bool(owner, name, getattr(self, name))
         if self.duration_ms <= 0:
             raise ValueError("duration_ms must be positive")
         if self.drain_ms < 0:
             raise ValueError("drain_ms must be >= 0")
         if self.dp_slo_us <= 0:
             raise ValueError("dp_slo_us must be positive")
-        self.raw_samples = bool(self.raw_samples)
         if self.telemetry_interval_ms <= 0:
             raise ValueError("telemetry_interval_ms must be positive")
-        self.spans = bool(self.spans)
         if self.retry is not None:
             self.retry = RetryPolicy.from_value(self.retry)
         self.chaos = normalize_chaos(self.chaos)
@@ -225,7 +244,8 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**data)
+        return cls(**check_fields("fleet", data,
+                                  [f.name for f in fields(cls)]))
 
     @classmethod
     def from_json(cls, path):

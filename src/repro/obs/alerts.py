@@ -15,7 +15,9 @@ trace event (board-level, cpu ``"-"``), which the invariant suite checks
 for correct pairing (:class:`~repro.obs.invariants.AlertPairingChecker`).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+from repro.spec_fields import check_fields, check_int, check_name, check_number
 
 #: Comparison operators a rule may use; ``gt`` means "alert when the
 #: signal is greater than the threshold".
@@ -52,11 +54,14 @@ class AlertRule:
     min_count: int = 0
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("alert rule needs a name")
-        if not self.signal:
-            raise ValueError(f"alert rule {self.name!r} needs a signal")
-        if self.op not in _OPS:
+        check_name("alert rule", "name", self.name)
+        owner = f"alert rule {self.name!r}"
+        check_name(owner, "signal", self.signal)
+        check_number(owner, "threshold", self.threshold)
+        for name in ("hold", "clear_hold", "min_count"):
+            object.__setattr__(self, name,
+                               check_int(owner, name, getattr(self, name)))
+        if not isinstance(self.op, str) or self.op not in _OPS:
             raise ValueError(
                 f"alert rule {self.name!r}: op must be one of "
                 f"{sorted(_OPS)}, got {self.op!r}")
@@ -103,13 +108,9 @@ class AlertRule:
     def from_dict(cls, data):
         if isinstance(data, cls):
             return data
-        known = {"name", "signal", "threshold", "op", "hold", "clear_hold",
-                 "severity", "min_count"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"alert rule has unknown keys: {sorted(unknown)}")
-        return cls(**data)
+        name = data.get("name") if isinstance(data, dict) else None
+        return cls(**check_fields(f"alert rule {name!r}", data,
+                                  [f.name for f in fields(cls)]))
 
 
 def normalize_alert_rules(rules):

@@ -15,7 +15,7 @@ and the soak experiments.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.faults.plan import FaultPlan, PRESETS as FAULT_PRESETS
 from repro.scenario.arms import (
@@ -25,6 +25,7 @@ from repro.scenario.arms import (
     knob_to_jsonable,
     validate_knobs,
 )
+from repro.spec_fields import check_bool, check_fields, check_int, check_number
 
 #: Traffic profile name -> burstiness knob of the DP background generator
 #: (duty-cycle peak-to-mean; see ``start_dp_background``).
@@ -49,6 +50,12 @@ class WorkloadMix:
     vm_vblks: int = 4
 
     def __post_init__(self):
+        for name in ("dp_utilization", "probe_period_us", "vm_period_ms"):
+            check_number("workload", name, getattr(self, name))
+        for name in ("n_monitors", "rolling_tasks", "vm_batch_min",
+                     "vm_batch_max", "vm_vblks"):
+            setattr(self, name, check_int("workload", name,
+                                          getattr(self, name)))
         if not 0.0 < self.dp_utilization < 1.0:
             raise ValueError(
                 f"dp_utilization must be in (0, 1), got {self.dp_utilization}")
@@ -76,6 +83,18 @@ class WorkloadMix:
             "vm_batch_max": self.vm_batch_max,
             "vm_vblks": self.vm_vblks,
         }
+
+    @classmethod
+    def from_value(cls, value):
+        """Coerce a WorkloadMix or its dict; anything else is rejected."""
+        if isinstance(value, cls):
+            return value
+        if not isinstance(value, dict):
+            raise ValueError(
+                f"workload must be a WorkloadMix or its dict, got "
+                f"{type(value).__name__}")
+        return cls(**check_fields("workload", value,
+                                  [f.name for f in fields(cls)]))
 
 
 @dataclass
@@ -109,19 +128,22 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.arm, str) or not is_arm(self.arm):
             raise ValueError(
-                f"unknown deployment class {self.arm!r}; "
+                f"arm: unknown deployment class {self.arm!r}; "
                 f"choose from {arm_names()}")
-        if self.traffic not in TRAFFIC_PROFILES:
+        if (not isinstance(self.traffic, str)
+                or self.traffic not in TRAFFIC_PROFILES):
             raise ValueError(
                 f"unknown traffic profile {self.traffic!r}; "
                 f"choose from {sorted(TRAFFIC_PROFILES)}")
-        if isinstance(self.workload, dict):
-            self.workload = WorkloadMix(**self.workload)
+        self.workload = WorkloadMix.from_value(self.workload)
         if not isinstance(self.knobs, dict):
             raise ValueError(
                 f"knobs must be a dict, got {type(self.knobs).__name__}")
         validate_knobs(self.arm, self.knobs)
-        self.dp_boost = int(self.dp_boost)
+        self.dp_boost = check_int("scenario", "dp_boost", self.dp_boost)
+        for name in ("degradation", "check_invariants", "trace",
+                     "tenant_isolation"):
+            check_bool("scenario", name, getattr(self, name))
         if self.dp_boost < 0:
             raise ValueError("dp_boost must be >= 0")
         taichi_family = get_arm(self.arm).taichi_family
@@ -136,7 +158,7 @@ class Scenario:
         if isinstance(self.faults, str):
             if self.faults not in FAULT_PRESETS:
                 raise ValueError(
-                    f"unknown fault preset {self.faults!r}; "
+                    f"faults: unknown fault preset {self.faults!r}; "
                     f"choose from {sorted(FAULT_PRESETS)}")
         elif isinstance(self.faults, dict):
             self.faults = FaultPlan.from_dict(self.faults)
@@ -157,7 +179,6 @@ class Scenario:
             from repro.tenancy.spec import normalize_tenants
 
             self.tenants = normalize_tenants(self.tenants)
-        self.tenant_isolation = bool(self.tenant_isolation)
 
     # -- Faults -------------------------------------------------------------------
 
@@ -227,7 +248,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**data)
+        return cls(**check_fields("scenario", data,
+                                  [f.name for f in fields(cls)]))
 
     def to_json(self, path):
         with open(path, "w") as handle:

@@ -13,18 +13,15 @@ carry hundreds of tenant entries, and "weight must be positive" without a
 tenant id is useless at that scale.
 """
 
-from dataclasses import dataclass
-from math import isfinite
+from dataclasses import dataclass, fields
 
 from repro.scenario.spec import TRAFFIC_PROFILES, WorkloadMix
+from repro.spec_fields import check_fields, check_int, check_number
 
 #: Shares below this fraction of the total weight cannot be honored: the
 #: partitioner hands out whole vCPUs and DP services, so a 0.1 % tenant
 #: on an 8-CPU board would round to the same share as a 10 % one.
 MIN_SHARE = 0.01
-
-_FIELDS = ("tenant_id", "weight", "dp_slo_us", "probe_threshold",
-           "traffic", "workload")
 
 
 @dataclass
@@ -50,41 +47,40 @@ class TenantSpec:
     def __post_init__(self):
         if not isinstance(self.tenant_id, str) or not self.tenant_id:
             raise ValueError(
-                f"tenant id must be a non-empty string, "
+                f"tenant_id must be a non-empty string, "
                 f"got {self.tenant_id!r}")
-        try:
-            self.weight = float(self.weight)
-        except (TypeError, ValueError):
+        owner = f"tenant {self.tenant_id!r}"
+        self.weight = float(check_number(owner, "weight", self.weight))
+        if self.weight <= 0:
             raise ValueError(
-                f"tenant {self.tenant_id!r}: weight must be a number, "
-                f"got {self.weight!r}") from None
-        if not isfinite(self.weight) or self.weight <= 0:
-            raise ValueError(
-                f"tenant {self.tenant_id!r}: weight must be a positive "
-                f"finite number, got {self.weight!r}")
+                f"{owner}: weight must be a positive finite number, "
+                f"got {self.weight!r}")
         if self.dp_slo_us is not None:
-            self.dp_slo_us = float(self.dp_slo_us)
-            if not isfinite(self.dp_slo_us) or self.dp_slo_us <= 0:
+            self.dp_slo_us = float(
+                check_number(owner, "dp_slo_us", self.dp_slo_us))
+            if self.dp_slo_us <= 0:
                 raise ValueError(
-                    f"tenant {self.tenant_id!r}: dp_slo_us must be a "
-                    f"positive number, got {self.dp_slo_us!r}")
+                    f"{owner}: dp_slo_us must be a positive number, "
+                    f"got {self.dp_slo_us!r}")
         if self.probe_threshold is not None:
-            self.probe_threshold = int(self.probe_threshold)
+            self.probe_threshold = check_int(owner, "probe_threshold",
+                                             self.probe_threshold)
             if self.probe_threshold < 1:
                 raise ValueError(
                     f"tenant {self.tenant_id!r}: probe_threshold must be "
                     f">= 1, got {self.probe_threshold}")
-        if self.traffic is not None and self.traffic not in TRAFFIC_PROFILES:
+        if self.traffic is not None and (
+                not isinstance(self.traffic, str)
+                or self.traffic not in TRAFFIC_PROFILES):
             raise ValueError(
                 f"tenant {self.tenant_id!r}: unknown traffic profile "
                 f"{self.traffic!r}; choose from {sorted(TRAFFIC_PROFILES)}")
-        if isinstance(self.workload, dict):
+        if self.workload is not None:
             try:
-                self.workload = WorkloadMix(**self.workload)
-            except (TypeError, ValueError) as exc:
+                self.workload = WorkloadMix.from_value(self.workload)
+            except ValueError as exc:
                 raise ValueError(
-                    f"tenant {self.tenant_id!r}: invalid workload: "
-                    f"{exc}") from None
+                    f"{owner}: invalid workload: {exc}") from None
 
     def to_dict(self):
         data = {"tenant_id": self.tenant_id, "weight": self.weight}
@@ -107,12 +103,8 @@ class TenantSpec:
                 f"tenant spec must be a dict or TenantSpec, "
                 f"got {type(data).__name__}")
         tenant_id = data.get("tenant_id")
-        unknown = sorted(set(data) - set(_FIELDS))
-        if unknown:
-            raise ValueError(
-                f"tenant {tenant_id if tenant_id else '<unnamed>'!r} does "
-                f"not accept field(s) {unknown}; accepted fields: "
-                f"{sorted(_FIELDS)}")
+        check_fields(f"tenant {tenant_id if tenant_id else '<unnamed>'!r}",
+                     data, [f.name for f in fields(cls)])
         if not tenant_id:
             raise ValueError("tenant spec is missing 'tenant_id'")
         return cls(**data)

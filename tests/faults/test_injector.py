@@ -145,7 +145,7 @@ def test_ipi_delay_stretches_delivery_latency():
     assert kernel.ipi.delivered_count == before + 1
 
 
-# -- a short storm: pairing, invariants, determinism ---------------------------
+# -- a short storm: pairing and determinism ------------------------------------
 
 
 def _storm_run(seed):
@@ -168,8 +168,7 @@ def _storm_run(seed):
             for event in session.events()
             if event.kind.startswith("fault.")
         ]
-        violations = session.violations()
-    return deployment.fault_injector, events, violations
+    return deployment.fault_injector, events
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +177,7 @@ def storm():
 
 
 def test_storm_injects_and_clears_every_fault(storm):
-    injector, events, _ = storm
+    injector, events = storm
     assert injector.injected > 0
     assert injector.injected == injector.cleared
     injected = [dict(detail)["fault"] for _, _, kind, detail in events
@@ -189,19 +188,13 @@ def test_storm_injects_and_clears_every_fault(storm):
     assert len(set(injected)) == len(injected)
 
 
-def test_storm_run_passes_invariant_checks(storm):
-    _, events, violations = storm
-    assert events                        # faults actually fired
-    assert violations == []
-
-
 def test_identical_seeds_reproduce_identical_fault_traces(storm):
-    _, first, _ = storm
-    _, second, _ = _storm_run(seed=3)
+    _, first = storm
+    _, second = _storm_run(seed=3)
     assert first == second
 
 
 def test_different_seed_changes_the_fault_trace(storm):
-    _, first, _ = storm
-    _, other, _ = _storm_run(seed=11)
+    _, first = storm
+    _, other = _storm_run(seed=11)
     assert first != other

@@ -1,4 +1,4 @@
-"""FaultPlan validation, scaling, JSON round-trips, and presets."""
+"""FaultPlan validation, scaling, file loading, and presets."""
 
 import pytest
 
@@ -68,15 +68,6 @@ def test_scaled_floors_keep_tiny_plans_meaningful():
 def test_scaled_rejects_nonpositive_factor():
     with pytest.raises(ValueError, match="positive"):
         FaultPlan(name="t", faults=[]).scaled(0)
-
-
-def test_json_round_trip(tmp_path):
-    plan = FaultPlan.preset("storm")
-    path = tmp_path / "storm.json"
-    plan.to_json(path)
-    loaded = FaultPlan.from_json(path)
-    assert loaded.name == plan.name
-    assert loaded.to_dict() == plan.to_dict()
 
 
 def test_presets_all_construct_and_validate():

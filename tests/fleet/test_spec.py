@@ -53,13 +53,6 @@ def test_nodespec_fault_preset_resolves():
     assert plan.faults
 
 
-def test_workload_mix_validation():
-    with pytest.raises(ValueError, match="dp_utilization"):
-        WorkloadMix(dp_utilization=1.5)
-    with pytest.raises(ValueError, match="vm_batch_min"):
-        WorkloadMix(vm_batch_min=9, vm_batch_max=4)
-
-
 def test_fleet_rejects_duplicate_node_ids():
     with pytest.raises(ValueError, match="duplicate node_id"):
         FleetSpec(name="f", nodes=[NodeSpec(node_id="a"),
@@ -69,26 +62,6 @@ def test_fleet_rejects_duplicate_node_ids():
 def test_fleet_rejects_empty():
     with pytest.raises(ValueError, match="at least one node"):
         FleetSpec(name="f", nodes=[])
-
-
-def test_fleet_json_roundtrip(tmp_path):
-    spec = FleetSpec.preset("rack")
-    path = tmp_path / "rack.json"
-    spec.to_json(path)
-    loaded = FleetSpec.from_json(path)
-    assert loaded.to_dict() == spec.to_dict()
-    # Faults survive the trip as resolvable plans.
-    faulted = [node for node in loaded.nodes if node.faults is not None]
-    assert faulted and isinstance(faulted[0].fault_plan(), FaultPlan)
-
-
-def test_fleet_dict_roundtrip_with_inline_fault_plan():
-    plan = FaultPlan.preset("probe_outage")
-    spec = FleetSpec(name="f", nodes=[
-        NodeSpec(node_id="a", faults=plan.to_dict(), degradation=True),
-    ])
-    again = FleetSpec.from_dict(spec.to_dict())
-    assert again.nodes[0].fault_plan().to_dict() == plan.to_dict()
 
 
 def test_presets_shapes():
@@ -131,35 +104,3 @@ def test_load_fleet_spec_dispatch(tmp_path):
     with pytest.raises(ValueError, match="preset"):
         load_fleet_spec("not-a-preset")
     assert set(PRESETS) == {"rack", "pod"}
-
-
-def test_telemetry_fields_round_trip():
-    spec = uniform_spec("t", "taichi", 2)
-    assert spec.raw_samples is False          # sketches ship by default
-    assert spec.telemetry_interval_ms == 10.0
-    assert "raw_samples" not in spec.to_dict()
-    assert "telemetry_interval_ms" not in spec.to_dict()
-
-    tuned = FleetSpec(name="t", nodes=[NodeSpec(node_id="a")],
-                      raw_samples=True, telemetry_interval_ms=2.5)
-    data = tuned.to_dict()
-    assert data["raw_samples"] is True
-    assert data["telemetry_interval_ms"] == 2.5
-    again = FleetSpec.from_dict(data)
-    assert again.raw_samples is True
-    assert again.telemetry_interval_ms == 2.5
-    with pytest.raises(ValueError, match="telemetry_interval_ms"):
-        FleetSpec(name="t", nodes=[NodeSpec(node_id="a")],
-                  telemetry_interval_ms=0)
-
-
-def test_spans_flag_round_trips_sparsely():
-    from repro.fleet.spec import FleetSpec, NodeSpec
-
-    spec = FleetSpec(name="s", nodes=[NodeSpec("n0")])
-    assert "spans" not in spec.to_dict()          # default stays sparse
-    spec.spans = True
-    data = spec.to_dict()
-    assert data["spans"] is True
-    restored = FleetSpec.from_dict(data)
-    assert restored.spans is True

@@ -197,22 +197,6 @@ def test_same_alert_name_on_two_nodes_is_independent():
 # -- scenario + soak integration -----------------------------------------------
 
 
-def test_scenario_alert_rules_round_trip():
-    from repro.scenario.spec import Scenario
-
-    scenario = Scenario(arm="taichi", alerts=[
-        {"name": "p99_high", "signal": "dp_rx_wait_us_p99",
-         "threshold": 250.0, "min_count": 4},
-    ])
-    assert scenario.alerts[0] == AlertRule(
-        name="p99_high", signal="dp_rx_wait_us_p99", threshold=250.0,
-        min_count=4)
-    restored = Scenario.from_dict(scenario.to_dict())
-    assert restored.alerts == scenario.alerts
-    with pytest.raises(ValueError, match="alerts"):
-        Scenario(arm="taichi", alerts="dp_rx_wait_us_p99>250")
-
-
 def test_faulted_soak_raises_and_clears_probe_alert():
     from repro.scenario.soak import run_soak
     from repro.scenario.spec import Scenario

@@ -41,11 +41,13 @@ def test_soak_with_arm_name(capsys):
 
 def test_soak_from_scenario_json(tmp_path, capsys):
     scenario_path = os.path.join(tmp_path, "scenario.json")
-    Scenario(arm="baseline", traffic="steady").to_json(scenario_path)
+    Scenario(arm="baseline", traffic="steady", tenants=[
+        {"tenant_id": "gold", "weight": 3.0},
+        {"tenant_id": "bronze", "traffic": "spiky"}]).to_json(scenario_path)
     summary_path = os.path.join(tmp_path, "summary.json")
     assert main(["soak", scenario_path, "--scale", "0.1",
                  "--duration-ms", "300", "--drain-ms", "100",
-                 "--json", summary_path]) == 0
+                 "--check-invariants", "--json", summary_path]) == 0
     out = capsys.readouterr().out
     assert "scenario: arm=baseline traffic=steady" in out
     with open(summary_path) as handle:

@@ -1,4 +1,4 @@
-"""The shared soak driver: summary shape and determinism."""
+"""The shared soak driver: summary shape, stream names, arm override."""
 
 from repro.scenario import Scenario, arm_override, arms_under_test, run_soak
 from repro.scenario.session import current_arms, parse_arm_list
@@ -22,10 +22,6 @@ def test_summary_shape():
     assert 0.0 <= summary["dp_slo_attainment_pct"] <= 100.0
     assert 0.0 <= summary["startup_slo_attainment_pct"] <= 100.0
     assert summary["faults"] == {"injected": 0, "cleared": 0}
-
-
-def test_soak_is_deterministic():
-    assert _small_soak(arm="taichi") == _small_soak(arm="taichi")
 
 
 def test_faulted_soak_reports_injections():

@@ -1,6 +1,5 @@
 """Fleet-level tenancy: cross-node aggregation and the ``top`` view."""
 
-import json
 import os
 
 from repro.fleet import (
@@ -14,15 +13,7 @@ from repro.fleet import (
 )
 from repro.scenario import Scenario, run_soak
 from repro.sim.units import MILLISECONDS
-
-TENANTS = [
-    {"tenant_id": "gold", "weight": 3.0,
-     "workload": {"dp_utilization": 0.4, "n_monitors": 3,
-                  "rolling_tasks": 3}},
-    {"tenant_id": "bronze", "traffic": "spiky",
-     "workload": {"dp_utilization": 0.4, "n_monitors": 3,
-                  "rolling_tasks": 3}},
-]
+from tests.tenancy.test_tenancy_soak import TENANTS
 
 
 def _node_summary(label, seed, tenants=TENANTS):
@@ -97,11 +88,3 @@ def test_fleet_runner_tenant_fleet_end_to_end(tmp_path):
     text = render_top(json_path)
     assert "== tenants: 4 rows ==" in text
     assert "gold" in text and "bronze" in text
-
-
-def test_tenant_fleet_is_deterministic_across_jobs():
-    spec = _tenant_spec()
-    serial = FleetRunner(spec, jobs=1, scale=1.0).run()
-    parallel = FleetRunner(spec, jobs=2, scale=1.0).run()
-    assert (json.dumps(serial["aggregate"], sort_keys=True)
-            == json.dumps(parallel["aggregate"], sort_keys=True))

@@ -1,6 +1,5 @@
-"""The multi-tenant soak: summary shape, determinism, telemetry, invariants."""
+"""The multi-tenant soak: summary shape, ledgers, telemetry."""
 
-from repro.obs import observe
 from repro.scenario import Scenario, run_soak
 from repro.sim.units import MILLISECONDS
 from repro.tenancy import verify_tenant_summary
@@ -55,10 +54,6 @@ def test_one_declared_tenant_owns_the_whole_board():
     assert verify_tenant_summary(summary) == []
 
 
-def test_tenant_soak_is_deterministic():
-    assert _soak() == _soak()
-
-
 def test_tenant_blocks_account_for_all_samples_and_grants():
     summary = _soak()
     blocks = summary["tenants"].values()
@@ -102,14 +97,6 @@ def test_isolation_off_still_conserves_ledgers():
     assert summary["tenancy"]["isolation"] is False
     assert sum(b["granted_ns"] for b in summary["tenants"].values()) \
         == summary["tenancy"]["total_granted_ns"]
-
-
-def test_tenant_soak_invariants_clean():
-    with observe(check_invariants=True) as session:
-        _soak()
-        violations = session.violations()
-    assert session.invariant_engines
-    assert violations == []
 
 
 def test_faulted_tenant_soak_reports_injections():

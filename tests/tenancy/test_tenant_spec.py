@@ -1,11 +1,9 @@
-"""TenantSpec validation and JSON round-trips.
+"""TenantSpec validation.
 
 Every rejection must *name the offending tenant* — a fleet spec can carry
 hundreds of tenant entries, and an anonymous "weight must be positive" is
 useless at that scale.
 """
-
-import json
 
 import pytest
 
@@ -96,32 +94,7 @@ def test_declaration_order_is_preserved():
     assert [spec.tenant_id for spec in specs] == ["z", "a", "m"]
 
 
-# -- scenario integration and JSON round-trip ----------------------------------
-
-
-def test_scenario_round_trips_tenants(tmp_path):
-    scenario = Scenario(arm="taichi", tenants=[
-        {"tenant_id": "victim", "weight": 3.0, "dp_slo_us": 250.0,
-         "workload": {"dp_utilization": 0.2}},
-        {"tenant_id": "noisy", "traffic": "spiky"},
-    ], tenant_isolation=False)
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario.to_dict()))
-    revived = Scenario.from_dict(json.loads(path.read_text()))
-    assert revived.to_dict() == scenario.to_dict()
-    assert [spec.tenant_id for spec in revived.tenants] == ["victim",
-                                                            "noisy"]
-    assert revived.tenants[0].workload.dp_utilization == 0.2
-    assert revived.tenant_isolation is False
-
-
-def test_single_tenant_scenario_json_is_byte_identical():
-    # The tenancy feature must be invisible when unused: no new keys.
-    plain = Scenario(arm="taichi")
-    assert "tenants" not in plain.to_dict()
-    assert "tenant_isolation" not in plain.to_dict()
-    assert (json.dumps(plain.to_dict(), sort_keys=True)
-            == json.dumps(Scenario(arm="taichi").to_dict(), sort_keys=True))
+# -- scenario integration -------------------------------------------------------
 
 
 def test_scenario_rejects_bad_tenants_naming_the_tenant():

@@ -9,15 +9,7 @@ from repro.fleet import FleetRunner, render_top, uniform_spec, \
     write_fleet_json
 from repro.scenario import Scenario, run_soak
 from repro.sim.units import MILLISECONDS
-
-TENANTS = [
-    {"tenant_id": "gold", "weight": 3.0,
-     "workload": {"dp_utilization": 0.4, "n_monitors": 3,
-                  "rolling_tasks": 3}},
-    {"tenant_id": "bronze", "traffic": "spiky",
-     "workload": {"dp_utilization": 0.4, "n_monitors": 3,
-                  "rolling_tasks": 3}},
-]
+from tests.tenancy.test_tenancy_soak import TENANTS
 
 
 def _write(tmp_path, name, payload):
