@@ -167,9 +167,9 @@ def main(argv=None):
                               default=None, metavar="MS",
                               help="override the spec's snapshot cadence")
     fleet_parser.add_argument("--raw-samples", action="store_true",
-                              help="ship raw per-node sample arrays instead "
-                                   "of mergeable quantile sketches (the "
-                                   "pre-sketch wire format)")
+                              help="also ship raw per-node sample arrays "
+                                   "(aggregation still merges the "
+                                   "quantile sketches)")
     fleet_parser.add_argument("--spans", action="store_true",
                               help="trace causal request spans on every "
                                    "node; summaries carry tail exemplars "

@@ -1,138 +1,85 @@
 """Merge per-node summaries into fleet-wide results.
 
 The merge never averages per-node percentiles: averaging a p99 across
-nodes is not the fleet p99 (the tail of the worst node dominates).  Two
-exact-in-their-own-terms paths exist:
+nodes is not the fleet p99 (the tail of the worst node dominates).
+Every node summary and every tenant block ships mergeable
+:class:`~repro.metrics.sketch.QuantileSketch` snapshots of its dp
+rx-wait and VM-startup distributions, and :func:`_merge_slo` merges them
+*in spec order* (the float ``sum`` makes merge order observable) and
+queries the merged sketch: O(buckets) per node instead of O(samples),
+with quantiles within the sketch's relative-error bound ``alpha`` of the
+pooled-raw order statistics.  A ``raw_samples`` fleet still ships the
+sample arrays in each node summary, but aggregation merges the sketches
+all the same.
 
-* **sketch path** (default) — every node ships mergeable
-  :class:`~repro.metrics.sketch.QuantileSketch` snapshots of its dp
-  rx-wait and VM-startup distributions; the aggregator merges them *in
-  spec order* (the float ``sum`` makes merge order observable) and
-  queries the merged sketch.  O(buckets) per node instead of O(samples),
-  which is what lets a pod-scale fleet aggregate without shipping raw
-  arrays; quantiles are within the sketch's relative-error bound
-  ``alpha`` of the pooled-raw order statistics.
-* **raw path** (``raw_samples`` fleets, and hand-built summaries) — the
-  historical pooled-raw-sample re-summarize, kept bit-for-bit so
-  existing callers see unchanged numbers.
-
-SLO attainment always pools exact within/total counts (nodes ship them
-as scalars), so attainment is exact on both paths.  Three views come out
-of one pass: ``fleet`` (whole rack/pod), ``classes`` (per deployment
-class — the Wave-style comparison), and ``worst_nodes`` (who to page;
-ties break on node_id so reports stay deterministic).
+SLO attainment pools exact within/total counts (nodes ship them as
+scalars), so attainment is exact.  Four views come out: ``fleet``
+(whole rack/pod), ``classes`` (per deployment class — the Wave-style
+comparison), ``tenants`` (per tenant id) and ``worst_nodes`` (who to
+page; ties break on node_id so reports stay deterministic).
 """
 
-from repro.fleet.node import attainment_pct
-from repro.metrics.sketch import is_sketch_dict, merge_sketch_dicts
-from repro.metrics.stats import summarize
+from repro.metrics.sketch import merge_sketch_dicts
+from repro.metrics.stats import attainment_pct
 
 _DP_QS = (50, 90, 99, 99.9)
 _STARTUP_QS = (50, 90, 99)
 
 
-def _sketch_block(nodes, key, qs):
-    """Merged-sketch summary block (or None if any node lacks the sketch)."""
-    dicts = [node.get(key) for node in nodes]
-    if not all(is_sketch_dict(data) for data in dicts):
-        return None
-    merged = merge_sketch_dicts(dicts)
-    block = merged.summary(qs=qs)
-    return block, merged.to_dict()
+def _merge_slo(blocks):
+    """The merged SLO keys of node summaries or tenant blocks, in order."""
+    def total(key):
+        return sum(block[key] for block in blocks)
+
+    dp = merge_sketch_dicts([block["dp_sketch"] for block in blocks])
+    startup = merge_sketch_dicts([block["startup_sketch"]
+                                  for block in blocks])
+    return {
+        "dp_latency_us": dp.summary(qs=_DP_QS),
+        "dp_slo_attainment_pct": attainment_pct(total("dp_within_slo"),
+                                                total("dp_slo_total")),
+        "dp_sketch": dp.to_dict(),
+        "startup_ms": startup.summary(qs=_STARTUP_QS),
+        "startup_slo_attainment_pct": attainment_pct(
+            total("startup_within_slo"), total("startup_slo_total")),
+        "startup_sketch": startup.to_dict(),
+        "vms_started": total("vms_started"),
+        "vms_requested": total("vms_requested"),
+    }
 
 
 def aggregate_nodes(nodes):
     """One aggregate block over a list of node summaries."""
-    dp_merged = _sketch_block(nodes, "dp_sketch", _DP_QS)
-    if dp_merged is not None:
-        dp_block, dp_sketch = dp_merged
-        dp_total = sum(node.get("dp_slo_total",
-                                len(node.get("dp_samples_us") or []))
-                       for node in nodes)
-    else:
-        dp_pool = [value for node in nodes
-                   for value in node.get("dp_samples_us") or []]
-        dp_block, dp_sketch = summarize(dp_pool, qs=_DP_QS), None
-        dp_total = len(dp_pool)
-    dp_within = sum(node["dp_within_slo"] for node in nodes)
-
-    startup_merged = _sketch_block(nodes, "startup_sketch", _STARTUP_QS)
-    if startup_merged is not None:
-        startup_block, startup_sketch = startup_merged
-    else:
-        startup_pool = [value for node in nodes
-                        for value in node.get("startup_samples_ms") or []]
-        startup_block, startup_sketch = (
-            summarize(startup_pool, qs=_STARTUP_QS), None)
-    startup_within = sum(node["startup_within_slo"] for node in nodes)
-    startup_total = sum(node["startup_slo_total"] for node in nodes)
-
-    block = {
+    return {
         "nodes": len(nodes),
         "node_ids": [node["node_id"] for node in nodes],
-        "dp_latency_us": dp_block,
-        "dp_slo_attainment_pct": attainment_pct(dp_within, dp_total),
-        "startup_ms": startup_block,
-        "startup_slo_attainment_pct": attainment_pct(startup_within,
-                                                     startup_total),
-        "vms_started": sum(node["vms_started"] for node in nodes),
-        "vms_requested": sum(node["vms_requested"] for node in nodes),
+        **_merge_slo(nodes),
         "faults_injected": sum(node["faults"]["injected"] for node in nodes),
         "invariant_violations":
             sum(node["invariants"]["violations"] for node in nodes),
         "invariants_ok": all(node["invariants"]["ok"] for node in nodes),
     }
-    if dp_sketch is not None:
-        block["dp_sketch"] = dp_sketch
-    if startup_sketch is not None:
-        block["startup_sketch"] = startup_sketch
-    return block
 
 
 def aggregate_tenants(nodes):
     """Merge per-tenant blocks across nodes: one block per tenant id.
 
-    Sketches merge in node order (same contract as the fleet merge);
-    attainment pools exact within/total counts.  Nodes without tenant
-    blocks contribute nothing — a mixed fleet aggregates the tenants of
-    the multi-tenant nodes only.
+    Nodes without tenant blocks contribute nothing — a mixed fleet
+    aggregates the tenants of the multi-tenant nodes only.
     """
     by_tenant = {}
     for node in nodes:
         for tid, block in (node.get("tenants") or {}).items():
             by_tenant.setdefault(tid, []).append(block)
-    out = {}
-    for tid in sorted(by_tenant):
-        blocks = by_tenant[tid]
-        dp_merged = _sketch_block(blocks, "dp_sketch", _DP_QS)
-        startup_merged = _sketch_block(blocks, "startup_sketch",
-                                       _STARTUP_QS)
-        dp_within = sum(block["dp_within_slo"] for block in blocks)
-        dp_total = sum(block["dp_slo_total"] for block in blocks)
-        startup_within = sum(block["startup_within_slo"]
-                             for block in blocks)
-        startup_total = sum(block["startup_slo_total"] for block in blocks)
-        merged = {
+    return {
+        tid: {
             "nodes": len(blocks),
             "weight": blocks[0]["weight"],
-            "dp_latency_us": (dp_merged[0] if dp_merged is not None
-                              else None),
-            "dp_slo_attainment_pct": attainment_pct(dp_within, dp_total),
-            "startup_ms": (startup_merged[0]
-                           if startup_merged is not None else None),
-            "startup_slo_attainment_pct": attainment_pct(startup_within,
-                                                         startup_total),
-            "vms_started": sum(block["vms_started"] for block in blocks),
-            "vms_requested": sum(block["vms_requested"]
-                                 for block in blocks),
+            **_merge_slo(blocks),
             "granted_ns": sum(block["granted_ns"] for block in blocks),
         }
-        if dp_merged is not None:
-            merged["dp_sketch"] = dp_merged[1]
-        if startup_merged is not None:
-            merged["startup_sketch"] = startup_merged[1]
-        out[tid] = merged
-    return out
+        for tid, blocks in sorted(by_tenant.items())
+    }
 
 
 def worst_nodes(nodes):

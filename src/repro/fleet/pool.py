@@ -225,7 +225,6 @@ def _parallel_outcomes(fn, payloads, jobs, label, retry, prepare, classify,
         for index, payload in enumerate(payloads))
     waiting = []          # backoff-delayed retries
     in_flight = {}        # future -> task
-    rebuilds = 0
     timed_out_any = False
     pool = ProcessPoolExecutor(max_workers=workers)
 
@@ -321,7 +320,6 @@ def _parallel_outcomes(fn, payloads, jobs, label, retry, prepare, classify,
                 in_flight.clear()
                 pool.shutdown(wait=False, cancel_futures=True)
                 pool = ProcessPoolExecutor(max_workers=workers)
-                rebuilds += 1
     finally:
         # A stuck worker would make a waiting shutdown hang forever.
         pool.shutdown(wait=not timed_out_any, cancel_futures=True)

@@ -139,9 +139,9 @@ class FleetSpec:
     each probe sample is scored against.  The VM-startup SLO lives with
     each node's device manager, as in the single-board experiments.
 
-    ``raw_samples`` makes every node ship its raw probe/startup sample
-    arrays (the pre-sketch wire format) instead of mergeable quantile
-    sketches; ``telemetry_interval_ms`` is the per-node snapshot cadence
+    ``raw_samples`` makes every node also ship its raw probe/startup
+    sample arrays (aggregation still merges the quantile sketches);
+    ``telemetry_interval_ms`` is the per-node snapshot cadence
     when the runner is given a telemetry directory.  ``spans`` turns on
     causal request tracing on every node: each summary then carries its
     tail exemplars and the fleet aggregate a ``worst_requests`` table.

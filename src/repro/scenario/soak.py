@@ -15,9 +15,11 @@ load shape per tenant: DP background on the tenant's own rx queues, CP
 hum and VM storms bound to the tenant's CP affinity through its own
 :class:`~repro.cp.device_mgmt.DeviceManager`, and probes tagged with the
 tenant id.  A tenant-less scenario is the same loop over one implicit
-whole-board tenant.  The summary keeps every pooled key either way; a
-multi-tenant run adds ``summary["tenants"][tid]`` blocks (sketches and
-counts, never raw sample arrays — they ship through fleet JSON) and a
+whole-board tenant.  Each tenant keeps one :class:`_SloBook` (the
+pooled book is the whole-board tenant's), and the pooled summary and
+every tenant block carry the same SLO keys from it.  A multi-tenant run
+adds ``summary["tenants"][tid]`` blocks (sketches and counts, never raw
+sample arrays — they ship through fleet JSON) and a
 ``summary["tenancy"]`` ledger view.
 
 Determinism contract: the summary is a pure function of
@@ -26,7 +28,8 @@ The RNG stream names seed the per-purpose substreams, so renaming them
 would silently re-draw every published number.  The whole-board tenant
 keeps the names that predate tenancy (``dp-background``,
 ``cp-background``, ``fleet-probe``, ``fleet-storms``, ``device-mgmt``)
-and probes the nominal eight ``("net", q, 0)`` queues; a declared tenant
+and probes the first queue of each of the board's first eight DP
+services, read before warmup; a declared tenant
 draws from ``tenant-<id>-{dp,cp,probe,storms}`` and ``device-mgmt-<id>``.
 """
 
@@ -37,8 +40,8 @@ from repro.metrics.sketch import DEFAULT_ALPHA
 from repro.metrics.stats import attainment_pct, summarize
 from repro.sim.units import MICROSECONDS, MILLISECONDS
 
-#: Probe-sample retention; beyond this the recorder's reservoir keeps
-#: percentiles honest but the summary stops shipping raw samples.
+#: Probe-reservoir size: past it, percentiles and ``dp_samples_us`` come
+#: from a uniform sample of the probes, while SLO counts stay exact.
 _SAMPLE_CAP = 50_000
 
 #: ``WorkloadMix.dp_utilization`` is offered load relative to this nominal
@@ -58,12 +61,18 @@ _WHOLE_BOARD_STREAMS = {
 }
 
 
-class _ProbeBook:
-    """Probe latencies scored against one SLO: samples, count, sketch."""
+class _SloBook:
+    """One tenant's SLO book: exact probe counts, a reservoir, sketches.
+
+    Probes are scored against the SLO as they land, so attainment is
+    exact however many there are; the bounded reservoir only feeds the
+    percentiles.  The pool is the whole-board tenant's book.
+    """
 
     def __init__(self, name, slo_us, channel, alpha):
         self.latency = LatencyRecorder(name=name, cap=_SAMPLE_CAP)
         self.slo_us = slo_us
+        self.alpha = alpha
         self.within = 0
         # With a telemetry bus the channel's cumulative sketch *is* the
         # summary sketch, so it accumulates identically with the bus on
@@ -81,6 +90,44 @@ class _ProbeBook:
             self.channel.observe(latency_us)
         else:
             self.sketch.add(latency_us)
+
+    def samples_us(self):
+        """The reservoir, in microseconds."""
+        return [value / MICROSECONDS for value in self.latency.samples]
+
+    def dp_attainment_pct(self):
+        return attainment_pct(self.within, self.latency.count)
+
+    def block(self, vms, now_ns, slo_ns):
+        """The SLO keys every summary level shares, for these probes and
+        the startups of ``vms`` at ``now_ns``."""
+        startups_ms, startup_within, overdue_pending = _startup_counts(
+            vms, now_ns, slo_ns)
+        startup_total = len(startups_ms) + overdue_pending
+        return {
+            "dp_sample_count": self.latency.count,
+            "dp_latency_us": summarize(self.samples_us(),
+                                       qs=(50, 90, 99, 99.9)),
+            "dp_slo_us": self.slo_us,
+            "dp_within_slo": self.within,
+            "dp_slo_total": self.latency.count,
+            "dp_slo_attainment_pct": self.dp_attainment_pct(),
+            "dp_sketch": self.sketch.to_dict(),
+            "startup_ms": summarize(startups_ms, qs=(50, 90, 99)),
+            "startup_slo_ms": slo_ns / MILLISECONDS,
+            "startup_within_slo": startup_within,
+            "startup_slo_total": startup_total,
+            "startup_overdue_pending": overdue_pending,
+            "startup_slo_attainment_pct": attainment_pct(startup_within,
+                                                         startup_total),
+            # Rebuilt from the *sorted* samples so its float ``sum`` is
+            # independent of VM completion order (and of whether a
+            # telemetry bus also streamed the same values).
+            "startup_sketch": QuantileSketch(self.alpha).extend(
+                startups_ms).to_dict(),
+            "vms_started": len(startups_ms),
+            "vms_requested": len(vms),
+        }
 
 
 class _Load:
@@ -101,8 +148,11 @@ class _Load:
             self.mix = scenario.workload
             self.traffic = scenario.traffic
             self.dp_slo_us = dp_slo_us
-            self.probe_queues = [("net", queue, 0)
-                                 for queue in range(_NOMINAL_DP_SERVICES)]
+            # Read before warmup, so a ``dp_boost`` repartition adds no
+            # probed queue; ``type2`` (seven services) probes its seven.
+            self.probe_queues = [
+                service.queue_ids[0]
+                for service in deployment.services[:_NOMINAL_DP_SERVICES]]
             return
         spec = runtime.spec
         self.tenant_id = runtime.tenant_id
@@ -260,10 +310,10 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
 
     # The pooled book scores every probe; a declared tenant also keeps
     # its own book (the whole-board tenant's book *is* the pooled one).
-    pooled = _ProbeBook(f"{label}-probe", dp_slo_us,
-                        channel("dp_rx_wait_us"), alpha)
+    pooled = _SloBook(f"{label}-probe", dp_slo_us,
+                      channel("dp_rx_wait_us"), alpha)
     for load in loads:
-        load.book = pooled if load.runtime is None else _ProbeBook(
+        load.book = pooled if load.runtime is None else _SloBook(
             f"{label}-probe-{load.tenant_id}", load.dp_slo_us,
             channel(f"tenant.{load.tenant_id}.dp_rx_wait_us"), alpha)
 
@@ -303,7 +353,6 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
         env.process(storm_source(load), name=load.name("storm-source"))
 
     slo_ns = loads[0].host.manager.params.startup_slo_ns
-    slo_ms = slo_ns / MILLISECONDS
     if bus is not None:
         _wire_bus_gauges(bus, deployment, loads, pooled, slo_ns)
         bus.attach(env)
@@ -314,48 +363,20 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
     if bus is not None:
         bus.close(env.now)
 
-    dp_samples_us = [value / MICROSECONDS for value in pooled.latency.samples]
-    dp_within = sum(1 for value in dp_samples_us if value <= dp_slo_us)
-
     all_vms = [vm for load in loads for vm in load.host.vms]
-    startups_ms, startup_within, overdue_pending = _startup_counts(
-        all_vms, env.now, slo_ns)
-    startup_total = len(startups_ms) + overdue_pending
-
     injector = deployment.fault_injector
     summary = {
         "node_id": label,
         "deployment": scenario.arm,
         "traffic": scenario.traffic,
         "seed": seed,
-        "dp_samples_us": dp_samples_us,
-        "dp_sample_count": pooled.latency.count,
-        "dp_latency_us": summarize(dp_samples_us, qs=(50, 90, 99, 99.9)),
-        "dp_slo_us": dp_slo_us,
-        "dp_within_slo": dp_within,
-        "dp_slo_attainment_pct": attainment_pct(dp_within,
-                                                len(dp_samples_us)),
-        "startup_samples_ms": startups_ms,
-        "startup_ms": summarize(startups_ms, qs=(50, 90, 99)),
-        "startup_slo_ms": slo_ms,
-        "startup_within_slo": startup_within,
-        "startup_slo_total": startup_total,
-        "startup_overdue_pending": overdue_pending,
-        "startup_slo_attainment_pct": attainment_pct(startup_within,
-                                                     startup_total),
-        "vms_started": len(startups_ms),
-        "vms_requested": len(all_vms),
+        "dp_samples_us": pooled.samples_us(),
+        "startup_samples_ms": _startup_counts(all_vms, env.now, slo_ns)[0],
+        **pooled.block(all_vms, env.now, slo_ns),
         "faults": {
             "injected": injector.injected if injector else 0,
             "cleared": injector.cleared if injector else 0,
         },
-        "dp_sketch": pooled.sketch.to_dict(),
-        "dp_slo_total": len(dp_samples_us),
-        # Sketches the fleet ships in place of raw sample arrays.  The
-        # startup sketch is rebuilt from the *sorted* samples so its
-        # float ``sum`` is independent of VM completion order (and of
-        # whether a telemetry bus also streamed the same values).
-        "startup_sketch": QuantileSketch(alpha).extend(startups_ms).to_dict(),
         "engine": engine_summary(env),
     }
     if tenancy is not None:
@@ -366,7 +387,15 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
             "total_granted_ns": tenancy.total_granted_ns,
         }
         summary["tenants"] = {
-            load.tenant_id: _tenant_block(load, env.now, slo_ns, alpha)
+            load.tenant_id: {
+                "weight": load.runtime.weight,
+                "services": len(load.runtime.services),
+                "vcpus": len(load.runtime.vcpus),
+                "dp_slo_declared": load.runtime.spec.dp_slo_us is not None,
+                "granted_ns": load.runtime.granted_ns,
+                "grants": load.runtime.grants,
+                **load.book.block(load.host.vms, env.now, slo_ns),
+            }
             for load in loads
         }
     if spans:
@@ -408,42 +437,6 @@ def _startup_counts(vms, now_ns, slo_ns):
         if vm.startup_time_ns() is None
         and now_ns - vm.request.t_issued > slo_ns)
     return startups_ms, within, overdue
-
-
-def _tenant_block(load, now_ns, slo_ns, alpha):
-    """One tenant's summary block: sketches and counts, no raw arrays."""
-    runtime = load.runtime
-    book = load.book
-    dp_samples_us = [value / MICROSECONDS for value in book.latency.samples]
-    startups_ms, startup_within, overdue_pending = _startup_counts(
-        load.host.vms, now_ns, slo_ns)
-    startup_total = len(startups_ms) + overdue_pending
-    return {
-        "weight": runtime.weight,
-        "services": len(runtime.services),
-        "vcpus": len(runtime.vcpus),
-        "dp_sample_count": book.latency.count,
-        "dp_latency_us": summarize(dp_samples_us, qs=(50, 90, 99, 99.9)),
-        "dp_slo_us": load.dp_slo_us,
-        "dp_slo_declared": runtime.spec.dp_slo_us is not None,
-        "dp_within_slo": book.within,
-        "dp_slo_total": len(dp_samples_us),
-        "dp_slo_attainment_pct": attainment_pct(book.within,
-                                                len(dp_samples_us)),
-        "dp_sketch": book.sketch.to_dict(),
-        "startup_ms": summarize(startups_ms, qs=(50, 90, 99)),
-        "startup_slo_ms": slo_ns / MILLISECONDS,
-        "startup_within_slo": startup_within,
-        "startup_slo_total": startup_total,
-        "startup_overdue_pending": overdue_pending,
-        "startup_slo_attainment_pct": attainment_pct(startup_within,
-                                                     startup_total),
-        "startup_sketch": QuantileSketch(alpha).extend(startups_ms).to_dict(),
-        "vms_started": len(startups_ms),
-        "vms_requested": len(load.host.vms),
-        "granted_ns": runtime.granted_ns,
-        "grants": runtime.grants,
-    }
 
 
 def engine_summary(env):
@@ -489,12 +482,10 @@ def _wire_bus_gauges(bus, deployment, loads, pooled, slo_ns):
         # Baselines have no probe to lose; report steady health so the
         # same alert rules apply across arms.
         bus.add_gauge("probe_health", lambda: 1.0)
-    bus.add_gauge("dp_slo_attainment_pct", lambda: attainment_pct(
-        pooled.within, pooled.latency.count))
+    bus.add_gauge("dp_slo_attainment_pct", pooled.dp_attainment_pct)
 
     startup_channel = bus.channel("vm_startup_ms")
     seen = set()
-    startup_state = {"within": 0, "completed": 0}
 
     def collect_startups(now_ns):
         for load in loads:
@@ -506,44 +497,25 @@ def _wire_bus_gauges(bus, deployment, loads, pooled, slo_ns):
                     continue
                 seen.add(id(vm))
                 startup_channel.observe(startup_ns / MILLISECONDS)
-                startup_state["completed"] += 1
-                if startup_ns <= slo_ns:
-                    startup_state["within"] += 1
 
     bus.add_collector(collect_startups)
 
-    def startup_attainment():
-        overdue = sum(
-            1 for load in loads for vm in load.host.vms
-            if vm.startup_time_ns() is None
-            and env.now - vm.request.t_issued > slo_ns)
-        return attainment_pct(startup_state["within"],
-                              startup_state["completed"] + overdue)
+    def startup_attainment(group):
+        def gauge():
+            startups_ms, within, overdue = _startup_counts(
+                [vm for load in group for vm in load.host.vms], env.now,
+                slo_ns)
+            return attainment_pct(within, len(startups_ms) + overdue)
+        return gauge
 
-    bus.add_gauge("startup_slo_attainment_pct", startup_attainment)
-
+    bus.add_gauge("startup_slo_attainment_pct", startup_attainment(loads))
     for load in loads:
         if load.runtime is None:
             continue
-
-        def tenant_startup_attainment(load=load):
-            within = completed = overdue = 0
-            for vm in load.host.vms:
-                startup_ns = vm.startup_time_ns()
-                if startup_ns is None:
-                    if env.now - vm.request.t_issued > slo_ns:
-                        overdue += 1
-                    continue
-                completed += 1
-                if startup_ns <= slo_ns:
-                    within += 1
-            return attainment_pct(within, completed + overdue)
-
         prefix = f"tenant.{load.tenant_id}"
         bus.add_gauge(f"{prefix}.dp_slo_attainment_pct",
-                      lambda book=load.book: attainment_pct(
-                          book.within, book.latency.count))
+                      load.book.dp_attainment_pct)
         bus.add_gauge(f"{prefix}.startup_slo_attainment_pct",
-                      tenant_startup_attainment)
+                      startup_attainment([load]))
         bus.add_gauge(f"{prefix}.granted_ns",
                       lambda runtime=load.runtime: runtime.granted_ns)

@@ -1,12 +1,15 @@
-"""Aggregation math: fleet blocks must equal stats over the pooled samples."""
+"""Aggregation math: exact pooled counts, merged sketches within alpha."""
 
 from repro.fleet import aggregate_fleet, aggregate_nodes, worst_nodes
-from repro.fleet.node import attainment_pct
-from repro.metrics.stats import summarize
+from repro.metrics.sketch import QuantileSketch, merge_sketch_dicts
+from repro.metrics.stats import attainment_pct, summarize
+
+_ALPHA = 0.01
 
 
 def _node(node_id, deployment, dp_samples, startups, dp_slo=100.0,
           startup_slo=250.0, overdue=0, violations=0):
+    """A node summary shaped like run_soak's fleet default (no arrays)."""
     dp_within = sum(1 for v in dp_samples if v <= dp_slo)
     startup_within = sum(1 for v in startups if v <= startup_slo)
     total = len(startups) + overdue
@@ -14,14 +17,16 @@ def _node(node_id, deployment, dp_samples, startups, dp_slo=100.0,
         "node_id": node_id,
         "deployment": deployment,
         "traffic": "bursty",
-        "dp_samples_us": list(dp_samples),
         "dp_latency_us": summarize(dp_samples, qs=(50, 90, 99, 99.9)),
         "dp_within_slo": dp_within,
-        "startup_samples_ms": sorted(startups),
+        "dp_slo_total": len(dp_samples),
+        "dp_sketch": QuantileSketch(_ALPHA).extend(dp_samples).to_dict(),
         "startup_ms": summarize(startups, qs=(50, 90, 99)),
         "startup_within_slo": startup_within,
         "startup_slo_total": total,
         "startup_slo_attainment_pct": attainment_pct(startup_within, total),
+        "startup_sketch": QuantileSketch(_ALPHA).extend(
+            sorted(startups)).to_dict(),
         "vms_started": len(startups),
         "vms_requested": len(startups) + overdue,
         "faults": {"injected": 0, "cleared": 0},
@@ -39,14 +44,20 @@ def test_aggregate_equals_pooled_raw_samples():
     a = _node("a", "taichi", [10.0, 20.0, 300.0], [100.0, 200.0])
     b = _node("b", "static", [50.0, 400.0], [300.0], overdue=2)
     block = aggregate_nodes([a, b])
-    pooled_dp = [10.0, 20.0, 300.0, 50.0, 400.0]
-    assert block["dp_latency_us"] == summarize(pooled_dp, qs=(50, 90, 99, 99.9))
+    # Count, extremes and mean are exact in the merged sketch; the median
+    # falls on a whole rank, so it is within alpha of the pooled sample.
+    for key, pooled, qs in (
+            ("dp_latency_us", [10.0, 20.0, 300.0, 50.0, 400.0],
+             (50, 90, 99, 99.9)),
+            ("startup_ms", [100.0, 200.0, 300.0], (50, 90, 99))):
+        exact = summarize(pooled, qs=qs)
+        for stat in ("count", "min", "mean", "max"):
+            assert block[key][stat] == exact[stat]
+        assert abs(block[key]["p50"] - exact["p50"]) <= _ALPHA * exact["p50"]
     # 3 of 5 pooled samples within the 100us SLO.
     assert block["dp_slo_attainment_pct"] == 100.0 * 3 / 5
     # startups: within = 2 (a) + 0 (b); total = 2 + (1 + 2 overdue) = 5.
     assert block["startup_slo_attainment_pct"] == 100.0 * 2 / 5
-    assert block["startup_ms"] == summarize([100.0, 200.0, 300.0],
-                                            qs=(50, 90, 99))
     assert block["vms_started"] == 3
     assert block["vms_requested"] == 5
     assert block["invariants_ok"]
@@ -88,61 +99,41 @@ def test_violations_roll_up():
     assert not block["invariants_ok"]
 
 
-# -- sketch aggregation path ---------------------------------------------------
-
-
-def _sketched(node, alpha=0.01):
-    """Attach the sketches a real sketch-shipping node carries."""
-    from repro.metrics.sketch import QuantileSketch
-
-    node = dict(node)
-    node["dp_sketch"] = QuantileSketch(alpha).extend(
-        node["dp_samples_us"]).to_dict()
-    node["dp_slo_total"] = len(node["dp_samples_us"])
-    node["startup_sketch"] = QuantileSketch(alpha).extend(
-        sorted(node["startup_samples_ms"])).to_dict()
-    del node["dp_samples_us"]
-    del node["startup_samples_ms"]
-    return node
-
-
 def test_sketch_path_matches_raw_within_alpha():
     import numpy as np
 
     rng = np.random.default_rng(9)
-    raw_nodes = [
-        _node("a", "taichi", list(rng.exponential(80.0, 400)),
-              list(rng.normal(200.0, 20.0, 50).clip(min=1.0))),
-        _node("b", "static", list(rng.exponential(400.0, 300)),
-              list(rng.normal(350.0, 40.0, 30).clip(min=1.0))),
+    samples = [
+        (list(rng.exponential(80.0, 400)),
+         list(rng.normal(200.0, 20.0, 50).clip(min=1.0))),
+        (list(rng.exponential(400.0, 300)),
+         list(rng.normal(350.0, 40.0, 30).clip(min=1.0))),
     ]
-    raw_block = aggregate_nodes(raw_nodes)
-    sketch_block = aggregate_nodes([_sketched(n) for n in raw_nodes])
+    nodes = [_node(node_id, "taichi", dp, startups)
+             for node_id, (dp, startups) in zip("ab", samples)]
+    block = aggregate_nodes(nodes)
+    pooled_dp = [v for dp, _ in samples for v in dp]
+    pooled_startups = [v for _, startups in samples for v in startups]
 
-    assert "dp_sketch" in sketch_block and "startup_sketch" in sketch_block
-    assert sketch_block["dp_latency_us"]["count"] == \
-        raw_block["dp_latency_us"]["count"]
-    # Attainment pools exact counts on both paths.
-    assert sketch_block["dp_slo_attainment_pct"] == \
-        raw_block["dp_slo_attainment_pct"]
-    assert sketch_block["startup_slo_attainment_pct"] == \
-        raw_block["startup_slo_attainment_pct"]
+    assert block["dp_latency_us"]["count"] == len(pooled_dp)
+    # Attainment pools exact counts.
+    assert block["dp_slo_attainment_pct"] == attainment_pct(
+        sum(1 for v in pooled_dp if v <= 100.0), len(pooled_dp))
+    assert block["startup_slo_attainment_pct"] == attainment_pct(
+        sum(1 for v in pooled_startups if v <= 250.0), len(pooled_startups))
     # Percentiles agree within the sketch's relative-error bound (a
-    # little slack for the raw path's linear interpolation).
-    for key, qs in (("dp_latency_us", ("p50", "p99")),
-                    ("startup_ms", ("p50", "p99"))):
-        for q in qs:
-            exact = raw_block[key][q]
-            assert abs(sketch_block[key][q] - exact) <= 0.03 * exact
+    # little slack for summarize's linear interpolation).
+    for key, pooled in (("dp_latency_us", pooled_dp),
+                        ("startup_ms", pooled_startups)):
+        exact = summarize(pooled)
+        for q in ("p50", "p99"):
+            assert abs(block[key][q] - exact[q]) <= 0.03 * exact[q]
 
 
 def test_sketch_merge_order_is_spec_order():
     import json
 
-    from repro.metrics.sketch import QuantileSketch, merge_sketch_dicts
-
-    nodes = [_sketched(_node(f"n{i}", "taichi",
-                             [10.0 * (i + 1), 250.0 / (i + 1)], []))
+    nodes = [_node(f"n{i}", "taichi", [10.0 * (i + 1), 250.0 / (i + 1)], [])
              for i in range(3)]
     block = aggregate_nodes(nodes)
     expected = merge_sketch_dicts([n["dp_sketch"] for n in nodes])
@@ -150,19 +141,8 @@ def test_sketch_merge_order_is_spec_order():
         json.dumps(expected.to_dict(), sort_keys=True)
 
 
-def test_mixed_nodes_fall_back_to_raw_path():
-    # One hand-built summary without sketches forces the exact raw pool.
-    with_sketch = _sketched(_node("a", "taichi", [10.0, 20.0], [100.0]))
-    without = _node("b", "static", [50.0], [300.0])
-    block = aggregate_nodes([with_sketch, without])
-    assert "dp_sketch" not in block
-    # The raw pool only sees node b's samples (node a shipped none), so
-    # the count reflects the samples actually present.
-    assert block["dp_latency_us"]["count"] == 1
-
-
 def test_zero_sample_class_reports_count_zero():
-    idle = _sketched(_node("idle", "taichi", [], []))
+    idle = _node("idle", "taichi", [], [])
     block = aggregate_nodes([idle])
     assert block["dp_latency_us"] == {"count": 0}
     assert block["startup_ms"] == {"count": 0}

@@ -54,6 +54,20 @@ def test_one_declared_tenant_owns_the_whole_board():
     assert verify_tenant_summary(summary) == []
 
 
+def test_slo_counts_stay_exact_past_the_sample_reservoir(monkeypatch):
+    # Past the reservoir cap only percentiles come from a sample; the
+    # pool and the tenant still score every probe.
+    monkeypatch.setattr("repro.scenario.soak._SAMPLE_CAP", 64)
+    summary = run_soak(Scenario(arm="taichi", tenants=[{"tenant_id": "solo"}]),
+                       seed=11, duration_ns=30 * MILLISECONDS,
+                       drain_ns=15 * MILLISECONDS)
+    for block in (summary, summary["tenants"]["solo"]):
+        assert block["dp_sample_count"] > 64
+        assert block["dp_slo_total"] == block["dp_sample_count"]
+        assert block["dp_slo_attainment_pct"] <= 100.0
+    assert verify_tenant_summary(summary) == []
+
+
 def test_tenant_blocks_account_for_all_samples_and_grants():
     summary = _soak()
     blocks = summary["tenants"].values()
