@@ -2,16 +2,19 @@
 
 The disabled path does no per-event work; tier-1 proves that
 structurally (``tests/obs/test_spans.py``).  Enabled, the tracker hooks
-every trace event and runs the attribution sweep per completed request
-— real work, but it must stay within a small constant factor so spans
-are usable on production-length soaks.  Both arms are timed by
-:mod:`benchmarks.overhead`, and the enabled arm must leave the simulated
-world untouched: identical event counts, identical probe samples.
+every trace event but, with no trace retained and no other hook,
+attributes only the roots that can still become exemplars; tier-1's
+``test_spans_only_soak_pays_for_what_it_keeps`` pins that
+deterministically (no retained events, under 1% of roots attributed).
+This wall gate backs it: both arms are timed by
+:mod:`benchmarks.overhead` (spans on measured ~1.2x off on a 2-vCPU
+host), and the enabled arm must leave the simulated world untouched:
+identical event counts, identical probe samples.
 """
 
 from benchmarks.overhead import interleaved_best, soak
 
-_MAX_ON_FACTOR = 4.0
+_MAX_ON_FACTOR = 2.0
 
 
 def test_bench_span_overhead(benchmark):

@@ -25,11 +25,15 @@ _ACTIVE = None
 class ObservabilitySession:
     """Collects trace streams and metrics across simulation environments.
 
-    With ``check_invariants=True`` every adopted environment also gets a
+    ``trace=True`` alone makes the adopted tracers *retain* events, so
+    :meth:`events` and the exporters see them.  With
+    ``check_invariants=True`` every adopted environment also gets a
     streaming :class:`~repro.obs.invariants.InvariantEngine` hooked into
     its tracer, verifying the causal invariants (IPI delivery, slice
     pairing, single-CPU-per-thread, ...) inline while the simulation
-    runs; :meth:`violations` collects the findings.
+    runs; :meth:`violations` collects the findings.  The hook sees every
+    event, but without ``trace=True`` nothing is stored.  Likewise
+    ``spans=True`` alone hooks the span tracker and keeps no trace.
     """
 
     def __init__(self, trace=False, trace_cap=1_000_000, ring=True,
@@ -55,7 +59,7 @@ class ObservabilitySession:
             from repro.obs.invariants import InvariantEngine
 
             engine = InvariantEngine()
-            tracer.add_hook(engine.observe)  # enables the tracer
+            tracer.add_hook(engine.observe)  # enables, but retains nothing
             self.invariant_engines.append((label, engine))
         self.streams.append((label, tracer))
         return tracer
@@ -68,7 +72,8 @@ class ObservabilitySession:
         return out
 
     def events(self, kind=None):
-        """All captured events across streams (optionally one kind)."""
+        """All retained events across streams (optionally one kind);
+        empty unless the session traces."""
         out = []
         for _, tracer in self.streams:
             out.extend(tracer.filter(kind=kind) if kind else list(tracer))

@@ -30,6 +30,14 @@ requests' full span trees (O(K) memory); alert events and run summaries
 link to them by request id.  Everything here only *reads* simulation
 state and records trace events — span tracking never schedules, so
 spans-on runs produce byte-identical results to spans-off runs.
+
+Spans cost about what they keep.  When the tracker is its tracer's only
+reader (the tracer does not retain and no other hook, such as an inline
+invariant checker, was attached when spans were enabled), nobody reads
+the ``span.begin``/``span.end`` events, so they are not recorded, and a
+root strictly shorter than everything its full reservoir keeps is closed
+without attribution: it could never become an exemplar.  A capture (a
+retaining tracer) or a checker gets every event and every decomposition.
 """
 
 from collections import deque
@@ -178,6 +186,10 @@ class SpanTracker:
         self._span_seq = {}        # request_id -> next child ordinal
         self._request_seq = 0      # auto request-id counter (dp packets)
         self._vm_state = {}        # request_id -> phase bookkeeping
+        # Set at enable() when no other hook reads the tracer: span events
+        # and the attribution of roots that cannot become exemplars then
+        # matter only to a retaining tracer.
+        self._sole_reader = False
 
         # Flat-stream attribution state.
         self._cpu_iv = {}          # cpu -> deque[(t0, t1, kind, extra)]
@@ -194,6 +206,9 @@ class SpanTracker:
             self.exemplar_k = int(exemplar_k)
         if not self.enabled:
             self.enabled = True
+            # Decided once: a checker hooked later sees no span events at
+            # all rather than a span.end whose span.begin was skipped.
+            self._sole_reader = not self.env.tracer.hooks
             self.env.tracer.add_hook(self.observe)
         return self
 
@@ -280,6 +295,10 @@ class SpanTracker:
             while intervals and intervals[0][1] < floor:
                 intervals.popleft()
 
+    def _unread(self, tracer):
+        """True when nothing but this tracker reads ``tracer``'s events."""
+        return self._sole_reader and not tracer.retain
+
     def _retention_floor(self):
         if not self._open:
             return self.env.now
@@ -303,7 +322,7 @@ class SpanTracker:
                     self.env.now)
         self._open[span_id] = span
         tracer = self.env.tracer
-        if tracer.enabled:
+        if tracer.enabled and not self._unread(tracer):
             detail = {"span": span_id, "request": request_id, "name": name}
             if parent is not None:
                 detail["parent"] = parent
@@ -318,7 +337,7 @@ class SpanTracker:
         span.t_end = self.env.now
         self._tree.setdefault(span.request_id, []).append(span)
         tracer = self.env.tracer
-        if tracer.enabled:
+        if tracer.enabled and not self._unread(tracer):
             tracer.record(self.env.now, span.cpu_id, "span.end",
                           span=span_id, request=span.request_id,
                           name=span.name, **extra)
@@ -336,7 +355,7 @@ class SpanTracker:
         parts = merge_parts(parts)
         duration = span.t_end - span.t_begin
         tracer = self.env.tracer
-        if tracer.enabled:
+        if tracer.enabled and not self._unread(tracer):
             tracer.record(self.env.now, span.cpu_id, "span.end",
                           span=span_id, request=span.request_id,
                           name=span.name, duration_ns=duration, parts=parts)
@@ -368,6 +387,26 @@ class SpanTracker:
                 self.exemplar_k)
         reservoir.offer(record)
         return record
+
+    def _passed_over(self, span):
+        """Close root ``span`` now without attribution if nobody else reads
+        the stream and its full reservoir keeps only strictly longer roots
+        (so it could never enter, whatever its id): the bookkeeping of
+        :meth:`end_root` without its event or record.  Returns whether
+        it did."""
+        if not self._unread(self.env.tracer):
+            return False
+        reservoir = self.reservoirs.get(span.channel)
+        if (reservoir is None or len(reservoir) < reservoir.k
+                or self.env.now - span.t_begin
+                >= reservoir.records[-1]["duration_ns"]):
+            return False
+        del self._open[span.span_id]
+        self._tree.pop(span.request_id, None)
+        self._span_seq.pop(span.request_id, None)
+        self.roots_completed += 1
+        reservoir.offered += 1
+        return True
 
     # -- Window attribution --------------------------------------------------------
 
@@ -426,9 +465,10 @@ class SpanTracker:
                                      cpu_id=dst_cpu_id)
 
     def end_dp(self, request, cpu_id):
-        """Close a DP root at poll pickup with the full decomposition."""
+        """Close a DP root at poll pickup with the full decomposition,
+        unless it is :meth:`_passed_over`."""
         span = self._open.get(request.span_id)
-        if span is None:
+        if span is None or self._passed_over(span):
             request.span_id = None
             return None
         now = self.env.now
@@ -531,7 +571,8 @@ class SpanTracker:
         return self.attribute(cpu_id, t0, t1, "cp_preempted")
 
     def vm_started(self, request):
-        """QEMU came up: close the tree and offer it to the reservoir."""
+        """QEMU came up: close the tree and offer it to the reservoir
+        (the record is built only if the root can enter it)."""
         request_id = f"vm{request.vm_id}"
         state = self._vm_state.pop(request_id, None)
         if state is None:
@@ -541,7 +582,8 @@ class SpanTracker:
             state["parts"].append(["qemu_instantiate", state["t_phase"],
                                    now])
         self.end(state["child"])
-        record = self.end_root(state["root"], state["parts"])
+        record = (None if self._passed_over(self._open[state["root"]])
+                  else self.end_root(state["root"], state["parts"]))
         if state["thread"]:
             self.unwatch_thread(state["thread"])
         request.span_id = None

@@ -8,6 +8,13 @@ probes, DP services — emit their events through it.  The tracer starts
 check (``if tracer.enabled:``), so an untraced run pays one branch per
 potential event and allocates nothing.
 
+Delivering events and keeping them are separate: hooks (inline invariant
+checkers, the span tracker) see every event of an enabled tracer, but
+only a tracer someone asked to trace (``observe(trace=True)`` or an
+explicit :meth:`Tracer.enable`) *retains* them in its ring.  A tracer
+enabled by :meth:`Tracer.add_hook` alone builds each event for its hooks
+and stores nothing.
+
 Event taxonomy (``docs/observability.md`` has the full reference):
 
 ===================  =======================================================
@@ -34,20 +41,23 @@ kind                 meaning
 ===================  =======================================================
 """
 
-from repro.metrics.timeline import Timeline
+from repro.metrics.timeline import Timeline, TimelineEvent
 
 
 class Tracer(Timeline):
     """A :class:`~repro.metrics.timeline.Timeline` with an enable gate.
 
-    Defaults to ring-buffer retention (keep the newest ``cap`` events) so
-    long runs behave like a flight recorder rather than capturing only the
-    boot transient.
+    ``enabled`` gates emission; ``retain`` says whether emitted events
+    are stored.  A retaining tracer defaults to ring-buffer retention
+    (keep the newest ``cap`` events) so long runs behave like a flight
+    recorder rather than capturing only the boot transient.
     """
 
     def __init__(self, cap=1_000_000, ring=True, enabled=False):
         super().__init__(cap=cap, ring=ring)
         self.enabled = enabled
+        # Only an explicit trace request stores events; hooks alone don't.
+        self.retain = enabled
         # ``hook(event)`` callables invoked for every recorded event —
         # including ones the capacity policy drops — so inline consumers
         # (streaming invariant checkers) see the unabridged stream.
@@ -55,6 +65,7 @@ class Tracer(Timeline):
 
     def enable(self):
         self.enabled = True
+        self.retain = True
         return self
 
     def disable(self):
@@ -63,7 +74,8 @@ class Tracer(Timeline):
 
     def add_hook(self, hook):
         """Subscribe ``hook(event)`` to every recorded event; enables the
-        tracer (a hooked tracer that stays gated would observe nothing)."""
+        tracer (a hooked tracer that stays gated would observe nothing)
+        without making it retain: hooks see events nobody stores."""
         self.hooks.append(hook)
         self.enabled = True
         return hook
@@ -75,7 +87,10 @@ class Tracer(Timeline):
     def record(self, ts_ns, cpu_id, kind, **detail):
         if not self.enabled:
             return
-        event = super().record(ts_ns, cpu_id, kind, **detail)
+        if self.retain:
+            event = super().record(ts_ns, cpu_id, kind, **detail)
+        else:
+            event = TimelineEvent(ts_ns, cpu_id, kind, detail)
         for hook in self.hooks:
             hook(event)
 

@@ -156,7 +156,8 @@ def _storm_run(seed):
         window("cpu_offline", 6, 8, cpu="cp"),
         window("vcpu_cost_spike", 10, 10, factor=6.0),
     ])
-    with observe(check_invariants=True) as session, active_fault_plan(plan):
+    with observe(trace=True, check_invariants=True) as session, \
+            active_fault_plan(plan):
         deployment = TaiChiDeployment(seed=seed)
         start_dp_background(deployment, utilization=0.2)
         start_cp_background(deployment, n_monitors=2, rolling_tasks=2)
@@ -184,6 +185,7 @@ def test_storm_injects_and_clears_every_fault(storm):
                 if kind == "fault.injected"]
     cleared = [dict(detail)["fault"] for _, _, kind, detail in events
                if kind == "fault.cleared"]
+    assert len(injected) == injector.injected   # the trace holds them all
     assert sorted(injected) == sorted(cleared)
     assert len(set(injected)) == len(injected)
 

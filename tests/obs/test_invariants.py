@@ -289,5 +289,6 @@ def test_clean_fig4_run_has_zero_violations():
         run_experiment("fig4", scale=0.2, seed=0)
         violations = session.violations()
     assert session.invariant_engines          # checkers actually attached
-    assert session.events()                   # hook force-enabled the tracers
+    assert all(tracer.enabled for _label, tracer in session.streams)
+    assert session.events()                   # fig4's own enable() retains
     assert violations == []

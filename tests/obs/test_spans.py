@@ -7,8 +7,14 @@ must surface as a wider ``ipi_deliver`` segment, never as an
 unexplained gap.
 """
 
+import json
+from itertools import count
+from types import SimpleNamespace
+from unittest import mock
+
 import pytest
 
+from repro.cp import device_mgmt
 from repro.metrics.timeline import TimelineEvent
 from repro.obs import check_events, observe, write_jsonl
 from repro.obs.analysis import (
@@ -85,6 +91,35 @@ def test_exemplar_reservoir_ties_break_on_request_id():
     for request in ("pkt-9", "pkt-2", "pkt-5"):
         reservoir.offer({"request": request, "duration_ns": 100})
     assert reservoir.worst_ids() == ["pkt-2", "pkt-5"]
+
+
+@pytest.mark.parametrize("reader", [None, "trace", "hook"])
+def test_a_root_that_cannot_enter_skips_attribution_only_when_unread(reader):
+    env = _Env()
+    env.tracer = Tracer(enabled=reader == "trace")
+    if reader == "hook":
+        env.tracer.add_hook(lambda event: None)
+    tracker = SpanTracker(env, exemplar_k=2).enable()
+    late = []  # hooked after enable(), so never part of the decision
+    env.tracer.add_hook(lambda event: late.append(event.kind))
+    records = []
+    for i, duration in enumerate([50, 40, 10, 40, 60]):
+        request = SimpleNamespace(span_id=None, t_accel_start=None,
+                                  t_rx_ready=None)
+        env.now = 1_000 * i
+        tracker.begin_dp(request, 0)
+        env.now += duration
+        records.append(tracker.end_dp(request, 0))
+    # 10 ns is shorter than both kept roots; the second 40 ties the kept
+    # minimum, so its id decides and it is attributed.
+    assert [record is None for record in records] == \
+        [False, False, reader is None, False, False]
+    assert tracker.worst_ids("dp") == ["pkt-5", "pkt-1"]
+    assert tracker.roots_completed == tracker.reservoirs["dp"].offered == 5
+    assert tracker.open_spans() == 0
+    assert tracker._tree == {} and tracker._span_seq == {}
+    assert late.count("span.end") == (0 if reader is None else 5)
+    assert len(env.tracer) == (10 if reader == "trace" else 0)
 
 
 # -- flat-stream attribution ---------------------------------------------------
@@ -308,6 +343,48 @@ def test_capture_round_trip_critical_path_and_waterfall(tmp_path):
     assert worst in text
     waterfall = format_waterfall(find_request_tree(str(path), worst))
     assert worst in waterfall and "critical path:" in waterfall
+
+
+def _taichi_soak():
+    """A 150 ms spans-on ``taichi`` soak with VM ids counted from 1, so
+    two soaks in one process name the same VMs alike."""
+    with mock.patch.object(device_mgmt, "_vm_ids", count(1)):
+        return run_soak(Scenario(arm="taichi"), seed=0,
+                        duration_ns=150 * MILLISECONDS,
+                        drain_ns=60 * MILLISECONDS, label="span-cost",
+                        spans=True)
+
+
+def test_spans_only_soak_pays_for_what_it_keeps(monkeypatch):
+    """The span-cost gate: a spans-only soak stores no trace and
+    attributes under 1% of its roots, yet its summary (exemplars
+    included) equals a traced soak's, which attributes every packet."""
+    trackers, attributed = [], []
+    enable, attribute = SpanTracker.enable, SpanTracker.attribute
+
+    def recording_enable(self, *args, **kwargs):
+        trackers.append(self)
+        return enable(self, *args, **kwargs)
+
+    def counting_attribute(self, *args):
+        attributed.append(self)
+        return attribute(self, *args)
+
+    monkeypatch.setattr(SpanTracker, "enable", recording_enable)
+    monkeypatch.setattr(SpanTracker, "attribute", counting_attribute)
+
+    lean = _taichi_soak()
+    (tracker,) = trackers
+    completed = lean["spans"]["completed"]
+    assert len(tracker.env.tracer) == 0 and tracker.env.tracer.dropped == 0
+    assert 0 < len(attributed) < 0.01 * completed
+
+    attributed.clear()
+    with observe(trace=True):
+        traced = _taichi_soak()
+    assert len(attributed) >= completed
+    assert json.dumps(traced, sort_keys=True) == \
+        json.dumps(lean, sort_keys=True)
 
 
 def test_format_critical_path_empty_capture():
