@@ -110,9 +110,6 @@ class InstructionAuditor:
         )
         return session
 
-    def session_for(self, thread):
-        return self._sessions.get(thread.tid)
-
     def _observe(self, thread, instruction):
         session = self._sessions.get(thread.tid)
         if session is None:

@@ -37,9 +37,6 @@ class UnifiedIPIOrchestrator:
         self.kernel.ipi.set_send_hook(self.route)
         self.kernel.env.metrics.add_source("core.ipi_orchestrator", self.stats)
 
-    def uninstall(self):
-        self.kernel.ipi.clear_send_hook()
-
     # -- vCPU registration (Figure 8a) -------------------------------------------------
 
     def register_vcpus(self, count, work_tax=1.0, id_prefix="v"):

@@ -166,10 +166,6 @@ def main(argv=None):
     fleet_parser.add_argument("--telemetry-interval-ms", type=float,
                               default=None, metavar="MS",
                               help="override the spec's snapshot cadence")
-    fleet_parser.add_argument("--raw-samples", action="store_true",
-                              help="also ship raw per-node sample arrays "
-                                   "(aggregation still merges the "
-                                   "quantile sketches)")
     fleet_parser.add_argument("--spans", action="store_true",
                               help="trace causal request spans on every "
                                    "node; summaries carry tail exemplars "
@@ -363,8 +359,6 @@ def main(argv=None):
             spec = spec.with_seed(args.seed)
         if args.nodes is not None:
             spec = spec.subset(args.nodes)
-        if args.raw_samples:
-            spec.raw_samples = True
         if args.spans:
             spec.spans = True
         if args.telemetry_interval_ms is not None:

@@ -8,9 +8,7 @@ rx-wait and VM-startup distributions, and :func:`_merge_slo` merges them
 *in spec order* (the float ``sum`` makes merge order observable) and
 queries the merged sketch: O(buckets) per node instead of O(samples),
 with quantiles within the sketch's relative-error bound ``alpha`` of the
-pooled-raw order statistics.  A ``raw_samples`` fleet still ships the
-sample arrays in each node summary, but aggregation merges the sketches
-all the same.
+pooled-raw order statistics.
 
 SLO attainment pools exact within/total counts (nodes ship them as
 scalars), so attainment is exact.  Four views come out: ``fleet``

@@ -35,12 +35,12 @@ def run_node(payload):
     Payload keys: ``node`` (NodeSpec dict), ``root_seed``,
     ``duration_ns``, ``drain_ns``, ``dp_slo_us``, ``fault_scale``,
     ``capture_path`` (JSONL target or None), ``check_invariants``,
-    ``raw_samples`` (ship raw sample arrays; when false — the fleet
-    default — the summary carries only the mergeable sketches and the
-    derived stats), ``telemetry_dir`` (per-node snapshot-series JSONL
-    target dir or None), ``telemetry_interval_ms`` and ``spans``
-    (causal request tracing: the summary gains per-channel tail
-    exemplars the aggregator pools into the fleet worst-request table).
+    ``telemetry_dir`` (per-node snapshot-series JSONL target dir or
+    None), ``telemetry_interval_ms`` and ``spans`` (causal request
+    tracing: the summary gains per-channel tail exemplars the aggregator
+    pools into the fleet worst-request table).  The summary carries the
+    mergeable sketches and the derived stats, never the raw sample
+    arrays.
 
     Containment contract: this worker *never raises*.  Any exception —
     including an injected ``chaos`` fault for this ``attempt`` — comes
@@ -89,11 +89,10 @@ def _run_node(payload):
         "violations": len(violations),
         "ok": not violations,
     }
-    if not payload.get("raw_samples", True):
-        # The sketches carry the distributions; the arrays are the O(n)
-        # payload the streaming pipeline exists to avoid shipping.
-        del summary["dp_samples_us"]
-        del summary["startup_samples_ms"]
+    # The sketches carry the distributions; the arrays are the O(n)
+    # payload the streaming pipeline exists to avoid shipping.
+    del summary["dp_samples_us"]
+    del summary["startup_samples_ms"]
     return summary
 
 

@@ -104,7 +104,6 @@ class FleetRunner:
                 "fault_scale": self.scale,
                 "capture_path": capture_path,
                 "check_invariants": self.check_invariants,
-                "raw_samples": self.spec.raw_samples,
                 "telemetry_dir": self.telemetry_dir,
                 "telemetry_interval_ms": self.spec.telemetry_interval_ms,
                 "spans": self.spec.spans,

@@ -139,8 +139,6 @@ class FleetSpec:
     each probe sample is scored against.  The VM-startup SLO lives with
     each node's device manager, as in the single-board experiments.
 
-    ``raw_samples`` makes every node also ship its raw probe/startup
-    sample arrays (aggregation still merges the quantile sketches);
     ``telemetry_interval_ms`` is the per-node snapshot cadence
     when the runner is given a telemetry directory.  ``spans`` turns on
     causal request tracing on every node: each summary then carries its
@@ -161,7 +159,6 @@ class FleetSpec:
     duration_ms: float = 400.0
     drain_ms: float = 200.0
     dp_slo_us: float = 300.0
-    raw_samples: bool = False
     telemetry_interval_ms: float = 10.0
     spans: bool = False
     retry: object = None
@@ -189,8 +186,7 @@ class FleetSpec:
         for name in ("duration_ms", "drain_ms", "dp_slo_us",
                      "telemetry_interval_ms"):
             check_number(owner, name, getattr(self, name))
-        for name in ("raw_samples", "spans"):
-            check_bool(owner, name, getattr(self, name))
+        check_bool(owner, "spans", self.spans)
         if self.duration_ms <= 0:
             raise ValueError("duration_ms must be positive")
         if self.drain_ms < 0:
@@ -224,8 +220,6 @@ class FleetSpec:
             "dp_slo_us": self.dp_slo_us,
             "nodes": [node.to_dict() for node in self.nodes],
         }
-        if self.raw_samples:
-            data["raw_samples"] = True
         if self.telemetry_interval_ms != 10.0:
             data["telemetry_interval_ms"] = self.telemetry_interval_ms
         if self.spans:

@@ -22,11 +22,7 @@ import json
 import os
 
 from repro.metrics.sketch import QuantileSketch
-from repro.obs.telemetry import (
-    TelemetrySnapshot,
-    load_telemetry_jsonl,
-    openmetrics_text,
-)
+from repro.obs.telemetry import load_telemetry_jsonl, openmetrics_text
 
 _SUFFIX = ".telemetry.jsonl"
 
@@ -375,8 +371,3 @@ def load_merged_series(telemetry_dir):
                     out.append(data)
     return out
 
-
-def snapshots_from_dicts(dicts):
-    """Rebuild :class:`TelemetrySnapshot` objects from ``to_dict`` forms."""
-    return [TelemetrySnapshot.from_dict(data) for data in dicts
-            if data.get("kind") == "telemetry"]

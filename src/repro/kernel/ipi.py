@@ -58,9 +58,6 @@ class IPIController:
         """
         self._fault_hook = hook
 
-    def clear_fault_hook(self):
-        self._fault_hook = None
-
     def add_drop_listener(self, listener):
         """``listener(dst_cpu, vector, payload, latency_ns)`` on fault drops.
 

@@ -117,11 +117,6 @@ class WelfordStats:
     def stdev(self):
         return math.sqrt(self.variance)
 
-    @property
-    def mean_deviation_proxy(self):
-        """Stand-in for ping's ``mdev`` when only moments are kept."""
-        return self.stdev
-
     def merge(self, other):
         """Combine another accumulator into this one (parallel Welford)."""
         if other.count == 0:
@@ -256,9 +251,6 @@ class Histogram:
             labels.append(f"{low:g}-{high:g}")
         labels.append(f">={self.edges[-1]:g}")
         return labels
-
-    def as_rows(self):
-        return list(zip(self.bucket_labels(), self.counts))
 
     def __repr__(self):
         return f"<Histogram {self.name!r} total={self.total}>"

@@ -1,21 +1,16 @@
 """Timeline capture for scheduling traces.
 
 The :class:`Timeline` is the storage layer of the observability spine
-(:mod:`repro.obs` wraps it with an enable gate and exporters).  Two
-bounded-memory policies are supported:
-
-* ``ring=False`` (historical default) — append until ``cap`` is reached,
-  then drop *new* events, counting them in :attr:`Timeline.dropped`;
-* ``ring=True`` — keep the most recent ``cap`` events, dropping the
-  *oldest* (the usual flight-recorder behaviour for long soaks).
-
-Either way :attr:`Timeline.dropped` says how many events were lost, and
+(:mod:`repro.obs` wraps it with an enable gate and exporters).  It is a
+ring: it keeps the most recent ``cap`` events and drops the *oldest*
+(the usual flight-recorder behaviour for long soaks).
+:attr:`Timeline.dropped` says how many events were lost, and
 renderers/exporters are expected to surface it rather than silently
 presenting a truncated trace.
 
-In ring mode the record evicted by a full buffer is *recycled in place*
-for the incoming event rather than freed — a traced soak allocates
-``cap`` records total instead of one per event.  Consumers must treat a
+The record evicted by a full ring is *recycled in place* for the
+incoming event rather than freed — a traced soak allocates ``cap``
+records total instead of one per event.  Consumers must treat a
 record as immutable only while it stays in the ring: hooks (inline
 invariant checkers) consume events synchronously, and exporters read the
 live buffer, so neither observes recycling; holding a reference across
@@ -60,23 +55,20 @@ class Timeline:
     # instrumentation sites can use a uniform ``tracer.enabled`` check.
     enabled = True
 
-    def __init__(self, cap=100_000, ring=False):
+    def __init__(self, cap=100_000):
         self.cap = cap
-        self.ring = ring
-        self.events = deque(maxlen=cap) if ring else []
+        self.events = deque(maxlen=cap)
         self.dropped = 0
 
     def record(self, ts_ns, cpu_id, kind, **detail):
-        """Record one event; returns it even when storage dropped it.
+        """Record one event and return it.
 
         Returning the event lets subscribers (inline invariant checkers)
-        observe the full stream regardless of the capacity policy.
+        observe it before a full ring recycles its record.
         """
         events = self.events
         if len(events) >= self.cap:
             self.dropped += 1
-            if not self.ring:
-                return TimelineEvent(ts_ns, cpu_id, kind, detail)
             # Recycle the evicted record: a full flight recorder stops
             # allocating entirely.
             event = events.popleft()
@@ -116,7 +108,7 @@ class Timeline:
             "events": len(self.events),
             "dropped": self.dropped,
             "cap": self.cap,
-            "mode": "ring" if self.ring else "drop-new",
+            "mode": "ring",
         }
 
     def __len__(self):

@@ -1,8 +1,8 @@
 """``repro.obs`` — the unified observability spine.
 
 A central :class:`Tracer` (structured, named events with a near-zero-
-overhead disable gate) plus a :class:`MetricsRegistry` (counters, gauges,
-histograms, and lazily collected *sources*), threaded through
+overhead disable gate) plus a :class:`MetricsRegistry` (counters, gauges
+and lazily collected *sources*), threaded through
 :class:`~repro.sim.environment.Environment` so every subsystem emits
 through one spine.  Exporters turn captures into Chrome trace-event JSON
 (Perfetto-loadable), JSONL streams, or text summaries.
@@ -46,12 +46,7 @@ from repro.obs.invariants import (
     check_events,
     default_checkers,
 )
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    HistogramMetric,
-    MetricsRegistry,
-)
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
 from repro.obs.session import ObservabilitySession, current, observe
 from repro.obs.spans import (
     ExemplarReservoir,
@@ -80,7 +75,6 @@ __all__ = [
     "DEFAULT_ALERT_RULES",
     "ExemplarReservoir",
     "Gauge",
-    "HistogramMetric",
     "InvariantEngine",
     "MetricsRegistry",
     "ObservabilitySession",

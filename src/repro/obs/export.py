@@ -9,8 +9,7 @@ Three formats:
   becomes a counter track, everything else becomes instant events.
 * **JSONL event stream** (:func:`write_jsonl`) — one JSON object per
   event, for ad-hoc ``jq``/pandas querying.
-* **Text summary** (:meth:`MetricsRegistry.to_text` plus
-  :func:`format_metrics` here) — for terminal reports.
+* **Text summary** (:func:`format_metrics`) — for terminal reports.
 
 Exporters accept a single tracer/timeline or a list of ``(label,
 tracer)`` streams (an observability session produces one stream per
@@ -276,8 +275,6 @@ def format_metrics(snapshot, source_prefixes=("sim.engine",)):
     for section in ("counters", "gauges"):
         for name, value in snapshot.get(section, {}).items():
             lines.append(f"  {name}: {value}")
-    for name, summary in snapshot.get("histograms", {}).items():
-        lines.append(f"  {name}: {summary}")
     for name, data in snapshot.get("sources", {}).items():
         if not name.startswith(tuple(source_prefixes)):
             continue

@@ -1,4 +1,4 @@
-"""The unified metrics registry: named counters, gauges, and histograms.
+"""The unified metrics registry: named counters, gauges and sources.
 
 One :class:`MetricsRegistry` hangs off every
 :class:`~repro.sim.environment.Environment` (``env.metrics``); when an
@@ -25,8 +25,6 @@ always had, and collection happens once at the end of a run.
 ``kernel.smartnic-os``, ``sim.engine``.  The first segment is the owning
 package under ``repro``; no bare (undotted) names.
 """
-
-from repro.metrics.stats import LatencyRecorder
 
 
 class Counter:
@@ -65,39 +63,12 @@ class Gauge:
         return f"<Gauge {self.name!r} {self.value}>"
 
 
-class HistogramMetric:
-    """Named distribution: streaming moments plus reservoir percentiles."""
-
-    __slots__ = ("name", "_recorder")
-
-    def __init__(self, name, cap=65_536):
-        self.name = name
-        self._recorder = LatencyRecorder(name=name, cap=cap)
-
-    def record(self, value):
-        self._recorder.record(value)
-
-    @property
-    def count(self):
-        return self._recorder.count
-
-    def percentile(self, q):
-        return self._recorder.percentile(q)
-
-    def summary(self):
-        return self._recorder.summary()
-
-    def __repr__(self):
-        return f"<HistogramMetric {self.name!r} n={self.count}>"
-
-
 class MetricsRegistry:
     """Get-or-create registry of named instruments plus snapshot sources."""
 
     def __init__(self):
         self._counters = {}
         self._gauges = {}
-        self._histograms = {}
         self._kinds = {}
         self._sources = {}
 
@@ -108,10 +79,6 @@ class MetricsRegistry:
 
     def gauge(self, name):
         return self._instrument(name, "gauge", self._gauges, Gauge)
-
-    def histogram(self, name):
-        return self._instrument(name, "histogram", self._histograms,
-                                HistogramMetric)
 
     def _instrument(self, name, kind, table, factory):
         existing_kind = self._kinds.get(name)
@@ -164,30 +131,11 @@ class MetricsRegistry:
         return {
             "counters": {name: c.value for name, c in sorted(self._counters.items())},
             "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
-            "histograms": {name: h.summary()
-                           for name, h in sorted(self._histograms.items())},
             "sources": {name: fn() for name, fn in sorted(self._sources.items())},
         }
-
-    def to_text(self, source_prefixes=("sim.engine",)):
-        """Compact text summary: instruments plus selected sources."""
-        snap = self.snapshot()
-        lines = ["-- metrics --"]
-        for section in ("counters", "gauges"):
-            for name, value in snap[section].items():
-                lines.append(f"  {name}: {value}")
-        for name, summary in snap["histograms"].items():
-            lines.append(f"  {name}: {summary}")
-        for name, data in snap["sources"].items():
-            if not name.startswith(tuple(source_prefixes)):
-                continue
-            for key, value in sorted(data.items()):
-                lines.append(f"  {name}.{key}: {value}")
-        return "\n".join(lines)
 
     def __repr__(self):
         return (
             f"<MetricsRegistry counters={len(self._counters)} "
-            f"gauges={len(self._gauges)} histograms={len(self._histograms)} "
-            f"sources={len(self._sources)}>"
+            f"gauges={len(self._gauges)} sources={len(self._sources)}>"
         )

@@ -36,17 +36,13 @@ class ObservabilitySession:
     ``spans=True`` alone hooks the span tracker and keeps no trace.
     """
 
-    def __init__(self, trace=False, trace_cap=1_000_000, ring=True,
-                 check_invariants=False, spans=False, exemplar_k=None):
+    def __init__(self, trace=False, check_invariants=False, spans=False):
         self.trace = trace
-        self.trace_cap = trace_cap
-        self.ring = ring
         self.check_invariants = check_invariants
         # With ``spans=True`` every adopted environment's SpanTracker is
         # enabled at construction, so request roots opened anywhere in
         # the deployment carry correlation ids from the first event.
         self.spans = spans
-        self.exemplar_k = exemplar_k
         self.metrics = MetricsRegistry()
         self.streams = []          # [(label, Tracer)]
         self.invariant_engines = []  # [(label, InvariantEngine)]
@@ -54,7 +50,7 @@ class ObservabilitySession:
     def adopt_environment(self, env, label=None):
         """Give ``env`` its tracer; called from Environment.__init__."""
         label = label or f"env{len(self.streams)}"
-        tracer = Tracer(cap=self.trace_cap, ring=self.ring, enabled=self.trace)
+        tracer = Tracer(enabled=self.trace)
         if self.check_invariants:
             from repro.obs.invariants import InvariantEngine
 
@@ -95,13 +91,12 @@ def current():
 
 
 @contextmanager
-def observe(trace=False, trace_cap=1_000_000, ring=True,
-            check_invariants=False, spans=False, exemplar_k=None):
+def observe(trace=False, check_invariants=False, spans=False):
     """Activate a session for the duration of the block (re-entrant)."""
     global _ACTIVE
-    session = ObservabilitySession(trace=trace, trace_cap=trace_cap, ring=ring,
+    session = ObservabilitySession(trace=trace,
                                    check_invariants=check_invariants,
-                                   spans=spans, exemplar_k=exemplar_k)
+                                   spans=spans)
     previous = _ACTIVE
     _ACTIVE = session
     try:

@@ -48,18 +48,18 @@ class Tracer(Timeline):
     """A :class:`~repro.metrics.timeline.Timeline` with an enable gate.
 
     ``enabled`` gates emission; ``retain`` says whether emitted events
-    are stored.  A retaining tracer defaults to ring-buffer retention
-    (keep the newest ``cap`` events) so long runs behave like a flight
-    recorder rather than capturing only the boot transient.
+    are stored.  A retaining tracer keeps the newest ``cap`` events, so
+    long runs behave like a flight recorder rather than capturing only
+    the boot transient.
     """
 
-    def __init__(self, cap=1_000_000, ring=True, enabled=False):
-        super().__init__(cap=cap, ring=ring)
+    def __init__(self, cap=1_000_000, enabled=False):
+        super().__init__(cap=cap)
         self.enabled = enabled
         # Only an explicit trace request stores events; hooks alone don't.
         self.retain = enabled
         # ``hook(event)`` callables invoked for every recorded event —
-        # including ones the capacity policy drops — so inline consumers
+        # including ones a full ring later evicts — so inline consumers
         # (streaming invariant checkers) see the unabridged stream.
         self.hooks = []
 

@@ -57,9 +57,8 @@ class Environment:
         # constructed (instrumentation gates on ``spans.enabled``),
         # enabled when the active session asks for spans.
         self.spans = SpanTracker(self)
-        if session is not None and getattr(session, "spans", False):
-            self.spans.enable(exemplar_k=getattr(session, "exemplar_k",
-                                                 None))
+        if session is not None and session.spans:
+            self.spans.enable()
 
     @property
     def now(self):

@@ -40,7 +40,7 @@ def test_attainment_pct_vacuous_is_100():
     assert attainment_pct(3, 4) == 75.0
 
 
-def test_aggregate_equals_pooled_raw_samples():
+def test_aggregate_equals_pooled_samples():
     a = _node("a", "taichi", [10.0, 20.0, 300.0], [100.0, 200.0])
     b = _node("b", "static", [50.0, 400.0], [300.0], overdue=2)
     block = aggregate_nodes([a, b])

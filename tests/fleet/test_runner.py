@@ -141,30 +141,34 @@ def test_nodes_ship_sketches_not_raw_arrays_by_default():
     assert "dp_sketch" in report["aggregate"]["fleet"]
 
 
-def test_raw_samples_flag_restores_arrays():
-    import dataclasses
-
-    spec = dataclasses.replace(_tiny_spec(), raw_samples=True)
-    report = FleetRunner(spec, jobs=1, scale=0.5).run()
-    for node in report["nodes"]:
-        assert "dp_samples_us" in node
-        assert "dp_sketch" in node     # sketches ship either way
-
-
 def test_fleet_quantiles_bracket_raw_order_statistics():
     # The acceptance bound: each merged-sketch quantile must land within
     # the documented relative error of the pooled raw order statistics.
-    import dataclasses
+    # Nodes ship only sketches, so the raw pool comes from re-running
+    # each node's payload as a plain soak, which keeps the arrays.
     import math
 
+    from repro.fleet import NodeSpec
     from repro.metrics.sketch import DEFAULT_ALPHA
+    from repro.scenario import run_soak
 
-    spec = dataclasses.replace(FleetSpec.preset("rack").subset(3),
-                               raw_samples=True)
-    report = FleetRunner(spec, jobs=1, scale=0.1).run()
-    pool = sorted(value for node in report["nodes"]
-                  for value in node["dp_samples_us"])
+    runner = FleetRunner(FleetSpec.preset("rack").subset(3), jobs=1,
+                         scale=0.1)
+    report = runner.run()
+    pool = []
+    for payload in runner.payloads():
+        node = NodeSpec.from_dict(payload["node"])
+        pool.extend(run_soak(
+            node.scenario, seed=node_seed(payload["root_seed"], node.node_id),
+            duration_ns=payload["duration_ns"], drain_ns=payload["drain_ns"],
+            dp_slo_us=payload["dp_slo_us"],
+            fault_scale=payload["fault_scale"],
+            label=node.node_id)["dp_samples_us"])
+    pool.sort()
+    # The re-run soaks drew exactly the samples the fleet's nodes drew.
     assert pool
+    assert len(pool) == sum(node["dp_sample_count"]
+                            for node in report["nodes"])
     fleet = report["aggregate"]["fleet"]["dp_latency_us"]
     for q in (50, 90, 99):
         rank = q / 100.0 * (len(pool) - 1)

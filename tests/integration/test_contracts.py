@@ -103,7 +103,6 @@ def fleets(draw, spans=st.booleans()):
         name="contract", seed=draw(st.integers(0, 2**16)),
         nodes=[NodeSpec(node_id, draw(scenarios())) for node_id in ids],
         duration_ms=1000.0, drain_ms=600.0,
-        raw_samples=draw(st.booleans()),
         telemetry_interval_ms=draw(st.sampled_from([5.0, 10.0])),
         spans=draw(spans),
         retry=draw(st.none() | st.fixed_dictionaries(
@@ -144,7 +143,7 @@ EVERY_FIELD = FleetSpec(
         alerts=[{"name": "probe", "signal": "probe_health", "threshold": 1.0,
                  "op": "lt", "hold": 1, "clear_hold": 3,
                  "severity": "critical", "min_count": 2}]))],
-    raw_samples=True, spans=True, telemetry_interval_ms=5.0,
+    spans=True, telemetry_interval_ms=5.0,
     retry={"max_attempts": 2, "backoff_s": 0.1, "timeout_s": 5.0},
     chaos={"n0": 1})
 
@@ -317,8 +316,8 @@ def test_killed_cli_fleet_resumes_to_the_uninterrupted_bytes(tmp_path):
 SPARSE = {Scenario: {"knobs": {}, "dp_boost": 0, "degradation": False,
                      "faults": None, "check_invariants": False,
                      "trace": False, "alerts": None, "tenants": None},
-          FleetSpec: {"raw_samples": False, "telemetry_interval_ms": 10.0,
-                      "spans": False, "retry": None, "chaos": None}}
+          FleetSpec: {"telemetry_interval_ms": 10.0, "spans": False,
+                      "retry": None, "chaos": None}}
 
 
 def assert_sparse(spec, data, blank):

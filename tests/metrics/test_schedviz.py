@@ -51,7 +51,7 @@ def test_straddling_open_clamped_without_start_ns():
 
 
 def test_render_notes_dropped_events():
-    timeline = Timeline(cap=4, ring=True)
+    timeline = Timeline(cap=4)
     for ts in range(0, 800, 100):
         timeline.record(ts, 0, "sched_in", thread="x")
     text = render_gantt(timeline, 0, 1000, width=50)

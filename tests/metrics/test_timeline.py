@@ -16,16 +16,17 @@ def test_record_and_filter():
 
 def test_cap_drops_excess():
     timeline = Timeline(cap=2)
-    for ts in range(5):
+    records = [timeline.record(ts, 0, "x") for ts in range(2)]
+    for ts in range(2, 5):
         timeline.record(ts, 0, "x")
     assert len(timeline) == 2
     assert timeline.dropped == 3
-    # Drop-new mode keeps the *oldest* events.
-    assert [event.ts_ns for event in timeline] == [0, 1]
+    # A full ring recycles the evicted records instead of allocating.
+    assert {id(event) for event in timeline} == {id(r) for r in records}
 
 
 def test_ring_mode_keeps_newest():
-    timeline = Timeline(cap=2, ring=True)
+    timeline = Timeline(cap=2)
     for ts in range(5):
         timeline.record(ts, 0, "x")
     assert len(timeline) == 2
@@ -34,12 +35,11 @@ def test_ring_mode_keeps_newest():
 
 
 def test_summary_reports_drops_and_mode():
-    timeline = Timeline(cap=2, ring=True)
+    timeline = Timeline(cap=2)
     for ts in range(3):
         timeline.record(ts, 0, "x")
     assert timeline.summary() == {"events": 2, "dropped": 1, "cap": 2,
                                   "mode": "ring"}
-    assert Timeline(cap=5).summary()["mode"] == "drop-new"
 
 
 def test_spans_pairing():

@@ -112,7 +112,7 @@ def test_jsonl_round_trip_preserves_profile_and_meta(tmp_path):
 
 def test_truncated_capture_warns(tmp_path):
     path = str(tmp_path / "capture.jsonl")
-    tracer = Tracer(cap=4, ring=True, enabled=True)
+    tracer = Tracer(cap=4, enabled=True)
     for event in synthetic_stream():
         tracer.record(event.ts_ns, event.cpu_id, event.kind, **event.detail)
     assert tracer.dropped > 0

@@ -60,7 +60,7 @@ def test_open_slice_closed_at_trace_end():
 
 def test_multi_stream_pids_and_drop_count():
     first = make_tracer()
-    second = Tracer(cap=1, ring=True, enabled=True)
+    second = Tracer(cap=1, enabled=True)
     second.record(1, 0, "enqueue", thread="a")
     second.record(2, 0, "enqueue", thread="b")
     doc = chrome_trace([("naive", first), ("taichi", second)])
@@ -94,7 +94,7 @@ def test_jsonl_one_object_per_event_plus_meta(tmp_path):
 
 
 def test_jsonl_meta_reports_drops_per_stream(tmp_path):
-    lossy = Tracer(cap=1, ring=True, enabled=True)
+    lossy = Tracer(cap=1, enabled=True)
     lossy.record(1, 0, "enqueue", thread="a")
     lossy.record(2, 0, "enqueue", thread="b")
     path = write_jsonl(tmp_path / "t.jsonl", [("full", make_tracer()),

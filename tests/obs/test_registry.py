@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, format_metrics
 
 
 def test_counter_get_or_create_and_inc():
@@ -24,24 +24,11 @@ def test_gauge_set_and_set_max():
     assert registry.snapshot()["gauges"]["engine.heap_peak"] == 42
 
 
-def test_histogram_percentiles_and_summary():
-    registry = MetricsRegistry()
-    hist = registry.histogram("latency")
-    for value in range(1, 101):
-        hist.record(value)
-    assert hist.count == 100
-    assert hist.percentile(50) == pytest.approx(50, abs=2)
-    summary = registry.snapshot()["histograms"]["latency"]
-    assert summary["count"] == 100
-
-
 def test_cross_type_reregistration_rejected():
     registry = MetricsRegistry()
     registry.counter("x")
     with pytest.raises(ValueError):
         registry.gauge("x")
-    with pytest.raises(ValueError):
-        registry.histogram("x")
 
 
 def test_sources_collected_lazily_and_deduped():
@@ -61,12 +48,12 @@ def test_sources_collected_lazily_and_deduped():
     assert len(calls) == 2
 
 
-def test_to_text_includes_instruments_and_engine_sources():
+def test_format_metrics_includes_instruments_and_engine_sources():
     registry = MetricsRegistry()
     registry.counter("c").inc(2)
     registry.add_source("sim.engine", lambda: {"events_processed": 9})
     registry.add_source("kernel.os", lambda: {"steals": 1})
-    text = registry.to_text()
+    text = format_metrics(registry.snapshot())
     assert "c: 2" in text
     assert "sim.engine.events_processed: 9" in text
     assert "steals" not in text  # non-engine sources stay out of the summary

@@ -30,7 +30,7 @@ def test_enabled_tracer_is_a_timeline():
 
 
 def test_ring_mode_evicts_oldest():
-    tracer = Tracer(cap=3, ring=True, enabled=True)
+    tracer = Tracer(cap=3, enabled=True)
     for ts in range(5):
         tracer.record(ts, 0, "x", n=ts)
     assert len(tracer) == 3
