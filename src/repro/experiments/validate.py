@@ -11,7 +11,7 @@ EXPERIMENTS.md.
 import time
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.fleet.pool import pool_imap
+from repro.fleet.pool import pool_outcomes
 from repro.obs import observe
 
 
@@ -313,21 +313,36 @@ def run_validation(scale=1.0, seed=0, exp_ids=None, progress=None, jobs=1):
     """Run experiments and evaluate expectations.
 
     Returns a list of dicts: {id, result, checks: [(description, ok)],
-    elapsed_s}.  ``jobs > 1`` fans experiments across a process pool;
-    results (and progress lines) always stream in ``exp_ids`` order, and
-    ``jobs=1`` is the exact serial path.
+    elapsed_s}, in ``exp_ids`` order.  Experiments fan out through
+    :func:`~repro.fleet.pool.pool_outcomes`: ``jobs > 1`` uses a process
+    pool and ``jobs=1`` runs each experiment in this process.  Progress
+    lines print as experiments finish, which with ``jobs > 1`` is
+    completion order.  An experiment that raises does not stop the
+    others; once all have run, a ``RuntimeError`` names each failed id
+    and its error.
     """
     exp_ids = sorted(EXPERIMENTS) if exp_ids is None else list(exp_ids)
     payloads = [(exp_id, scale, seed) for exp_id in exp_ids]
-    outcomes = []
-    for outcome in pool_imap(_validate_one, payloads, jobs=jobs,
-                             label=lambda payload: payload[0]):
-        outcomes.append(outcome)
-        if progress is not None:
-            status = "OK " if _passed(outcome) else "FAIL"
-            progress(f"[{status}] {outcome['id']} "
-                     f"({outcome['elapsed_s']:.1f}s)")
-    return outcomes
+
+    def _progress(outcome):
+        if progress is None:
+            return
+        if not outcome.ok:
+            progress(f"[ERR ] {outcome.label}: {outcome.failure['error']}")
+            return
+        status = "OK " if _passed(outcome.value) else "FAIL"
+        progress(f"[{status}] {outcome.label} "
+                 f"({outcome.value['elapsed_s']:.1f}s)")
+
+    outcomes = pool_outcomes(_validate_one, payloads, jobs=jobs,
+                             label=lambda payload: payload[0],
+                             on_outcome=_progress)
+    errors = [f"{outcome.label}: {outcome.failure['error']}"
+              for outcome in outcomes if not outcome.ok]
+    if errors:
+        raise RuntimeError(f"{len(errors)} experiment(s) raised: "
+                           + "; ".join(errors))
+    return [outcome.value for outcome in outcomes]
 
 
 def _engine_metrics(registry):

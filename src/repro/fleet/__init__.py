@@ -35,12 +35,11 @@ from repro.fleet.durability import (
     FleetCheckpoint,
     FleetRunFailed,
     InjectedWorkerFault,
-    NodeFailure,
     RetryPolicy,
     verify_fleet_report,
 )
 from repro.fleet.node import node_seed, run_node
-from repro.fleet.pool import Outcome, PoolTaskError, pool_imap, pool_map, pool_outcomes
+from repro.fleet.pool import Outcome, pool_outcomes
 from repro.fleet.report import (
     canonical_report,
     fleet_markdown,
@@ -74,11 +73,9 @@ __all__ = [
     "FleetRunner",
     "FleetSpec",
     "InjectedWorkerFault",
-    "NodeFailure",
     "NodeSpec",
     "Outcome",
     "PRESETS",
-    "PoolTaskError",
     "RetryPolicy",
     "TRAFFIC_PROFILES",
     "WorkloadMix",
@@ -94,8 +91,6 @@ __all__ = [
     "load_merged_series",
     "merge_interval_series",
     "node_seed",
-    "pool_imap",
-    "pool_map",
     "pool_outcomes",
     "render_top",
     "run_fleet",

@@ -10,12 +10,13 @@ makes fleet runs durable instead:
   backoff and per-attempt wall-clock timeout.  Carried as plain data on
   :class:`~repro.fleet.spec.FleetSpec` so retry behaviour round-trips
   through spec JSON like everything else.
-* **Failure envelopes** — a worker that fails returns (never raises) a
-  typed envelope built *inside the worker*: node id, attempt, exception
-  repr, traceback tail.  Capturing the traceback worker-side keeps the
-  envelope byte-identical whether the node ran serially or in a pool,
-  which is what lets degraded fleet reports stay deterministic across
-  ``--jobs`` levels.
+* **Failure records** — every failure is one ``{"kind", "error",
+  "traceback"}`` record, to which the runner adds ``node_id`` and
+  ``attempts``.  A worker that fails returns (never raises) its record
+  in an envelope built *inside the worker*.  Capturing the traceback
+  worker-side keeps the record byte-identical whether the node ran
+  serially or in a pool, which is what lets degraded fleet reports stay
+  deterministic across ``--jobs`` levels.
 * **Chaos injection** — declarative injected worker faults
   (``FleetSpec.chaos``): fail a node's first N attempts (or every
   attempt) with a raised :class:`InjectedWorkerFault` or, in pooled
@@ -44,7 +45,7 @@ import hashlib
 import json
 import os
 import traceback
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.spec_fields import check_fields, check_int, check_number
 
@@ -94,59 +95,40 @@ class RetryPolicy:
     """How hard the runner tries before declaring a node failed.
 
     ``max_attempts`` counts total attempts (1 = no retry).  Attempt
-    ``k+1`` waits ``backoff_s * backoff_multiplier**(k-1)`` seconds
-    after attempt ``k`` fails.  ``timeout_s`` is the per-attempt
-    wall-clock budget in pooled runs (attempt ``k`` gets
-    ``timeout_s * timeout_multiplier**(k-1)``); serial runs cannot
-    preempt a running node, so the timeout applies only when
-    ``jobs > 1``.
+    ``k+1`` waits ``backoff_s * 2**(k-1)`` seconds after attempt ``k``
+    fails.  ``timeout_s`` is every attempt's wall-clock budget in pooled
+    runs; serial runs cannot preempt a running node, so the timeout
+    applies only when ``jobs > 1``.
     """
 
     max_attempts: int = 1
     backoff_s: float = 0.0
-    backoff_multiplier: float = 2.0
     timeout_s: float = None
-    timeout_multiplier: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "max_attempts",
                            check_int("retry", "max_attempts",
                                      self.max_attempts))
-        for name in ("backoff_s", "backoff_multiplier", "timeout_multiplier"):
-            check_number("retry", name, getattr(self, name))
+        check_number("retry", "backoff_s", self.backoff_s)
         if self.timeout_s is not None:
             check_number("retry", "timeout_s", self.timeout_s)
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_s < 0:
             raise ValueError("backoff_s must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None)")
-        if self.timeout_multiplier < 1.0:
-            raise ValueError("timeout_multiplier must be >= 1")
 
     def delay_s(self, attempt):
         """Seconds to wait before ``attempt`` (attempt numbers start at 1)."""
-        if attempt <= 1 or self.backoff_s == 0:
-            return 0.0
-        return self.backoff_s * self.backoff_multiplier ** (attempt - 2)
-
-    def timeout_for(self, attempt):
-        """Wall-clock budget for ``attempt`` (None = unbounded)."""
-        if self.timeout_s is None:
-            return None
-        return self.timeout_s * self.timeout_multiplier ** (attempt - 1)
+        return self.backoff_s * 2 ** (attempt - 2) if attempt > 1 else 0.0
 
     def to_dict(self):
         out = {"max_attempts": self.max_attempts}
         if self.backoff_s:
             out["backoff_s"] = self.backoff_s
-            out["backoff_multiplier"] = self.backoff_multiplier
         if self.timeout_s is not None:
             out["timeout_s"] = self.timeout_s
-            out["timeout_multiplier"] = self.timeout_multiplier
         return out
 
     @classmethod
@@ -164,58 +146,38 @@ class RetryPolicy:
             f"{type(value).__name__}")
 
 
-@dataclass
-class NodeFailure:
-    """The typed terminal outcome of a node that never produced a summary."""
-
-    node_id: str
-    kind: str
-    attempts: int
-    error: str
-    traceback: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.kind not in FAILURE_KINDS:
-            raise ValueError(
-                f"failure kind must be one of {FAILURE_KINDS}, "
-                f"got {self.kind!r}")
-        self.attempts = int(self.attempts)
-
-    def to_dict(self):
-        return {"node_id": self.node_id, "kind": self.kind,
-                "attempts": self.attempts, "error": self.error,
-                "traceback": list(self.traceback)}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
+# -- Failure records -----------------------------------------------------------
 
 
-# -- Failure envelopes (worker side) -------------------------------------------
+def exception_failure(exc):
+    """The failure record for a raised exception.
+
+    Every node failure has this one shape, ``{"kind", "error",
+    "traceback"}``: raised exceptions, pool ``crash`` and ``timeout``
+    attempts, and the worker envelope's payload alike.  The runner adds
+    ``node_id`` and ``attempts`` when it reports or journals the node.
+    """
+    lines = "".join(traceback.format_exception(
+        type(exc), exc, exc.__traceback__)).rstrip("\n").splitlines()
+    return {"kind": "exception", "error": repr(exc),
+            "traceback": lines[-TRACEBACK_TAIL_LINES:]}
 
 
-def failure_envelope(node_id, attempt, exc, kind="exception"):
+def failure_envelope(exc):
     """The dict a failing worker *returns* instead of raising.
 
     Built inside the worker so the traceback tail reflects the real
     raise site (not the parent's future re-raise shim) and is identical
     at any ``--jobs`` level.
     """
-    lines = "".join(traceback.format_exception(
-        type(exc), exc, exc.__traceback__)).rstrip("\n").splitlines()
-    return {
-        FAILURE_KEY: True,
-        "node_id": node_id,
-        "attempt": int(attempt),
-        "kind": kind,
-        "error": repr(exc),
-        "traceback": lines[-TRACEBACK_TAIL_LINES:],
-    }
+    return {FAILURE_KEY: True, **exception_failure(exc)}
 
 
-def is_failure_envelope(value):
-    """True if a worker return value is a failure envelope."""
-    return isinstance(value, dict) and bool(value.get(FAILURE_KEY))
+def envelope_failure(value):
+    """The failure record a worker returned, or None for a real result."""
+    if isinstance(value, dict) and value.get(FAILURE_KEY):
+        return {key: value[key] for key in ("kind", "error", "traceback")}
+    return None
 
 
 # -- Chaos: declarative injected worker faults ---------------------------------
@@ -279,7 +241,6 @@ def maybe_inject_chaos(entry, node_id, attempt, parallel=False):
 
 
 _ENTRY_SUFFIX = ".node.json"
-_MANIFEST = "checkpoint.json"
 
 #: Payload keys excluded from the fingerprint: host paths and pool
 #: bookkeeping that legitimately differ between runs of the same fleet.
@@ -335,19 +296,6 @@ class FleetCheckpoint:
             json.dump(entry, handle, indent=2, sort_keys=True)
             handle.write("\n")
         os.replace(tmp, path)
-        return path
-
-    def write_manifest(self, spec, scale):
-        """A human-oriented header; the per-entry fingerprints are the
-        actual resume guard."""
-        path = os.path.join(self.directory, _MANIFEST)
-        if os.path.exists(path):
-            return path
-        with open(path, "w") as handle:
-            json.dump({"fleet": spec.name, "seed": spec.seed,
-                       "scale": scale, "nodes": len(spec.nodes)},
-                      handle, indent=2, sort_keys=True)
-            handle.write("\n")
         return path
 
 
@@ -433,25 +381,6 @@ def verify_fleet_report(report):
     elif coverage is not None:
         problems.append("healthy aggregate carries a coverage block")
     return problems
-
-
-def normalized_failure(outcome):
-    """Collapse a pool outcome's failure into the canonical envelope.
-
-    Accepts both worker-built envelopes (which carry the sentinel key
-    and a per-attempt ``attempt`` field) and pool-built failures
-    (crash/timeout, no traceback) and returns a
-    :class:`NodeFailure`-shaped dict keyed by total attempts.
-    """
-    failure = outcome.failure
-    return NodeFailure(
-        node_id=outcome.label if outcome.label is not None
-        else failure.get("node_id", f"#{outcome.index}"),
-        kind=failure.get("kind", "exception"),
-        attempts=outcome.attempts,
-        error=failure.get("error", "unknown error"),
-        traceback=list(failure.get("traceback") or ()),
-    ).to_dict()
 
 
 def retry_with(policy, max_attempts=None, backoff_s=None, timeout_s=None):

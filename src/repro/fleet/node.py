@@ -58,7 +58,7 @@ def run_node(payload):
                            parallel=bool(payload.get("parallel")))
         return _run_node(payload)
     except Exception as exc:
-        return failure_envelope(node_id, attempt, exc)
+        return failure_envelope(exc)
 
 
 def _run_node(payload):

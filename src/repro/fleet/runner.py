@@ -38,8 +38,7 @@ from repro.fleet.durability import (
     FleetRunFailed,
     RetryPolicy,
     checkpoint_entry,
-    is_failure_envelope,
-    normalized_failure,
+    envelope_failure,
     payload_fingerprint,
 )
 from repro.fleet.node import run_node
@@ -55,6 +54,14 @@ _MIN_DRAIN_NS = 20 * MILLISECONDS
 def _prepare_payload(payload, attempt, parallel):
     """Per-attempt worker payload: same node work, new attempt number."""
     return {**payload, "attempt": attempt, "parallel": parallel}
+
+
+def _failed_node(outcome):
+    """A terminal failure record named by its node and attempt count."""
+    failure = outcome.failure
+    return {"node_id": outcome.label, "kind": failure["kind"],
+            "attempts": outcome.attempts, "error": failure["error"],
+            "traceback": failure["traceback"]}
 
 
 class FleetRunner:
@@ -129,7 +136,6 @@ class FleetRunner:
                 f"checkpoint dir {self.checkpoint_dir!r} already holds "
                 f"{len(existing)} journaled node(s); pass resume/--resume "
                 f"to continue that run, or use a fresh directory")
-        checkpoint.write_manifest(self.spec, self.scale)
         reused = {}
         if self.resume:
             fingerprints = {payload["node"]["node_id"]:
@@ -169,7 +175,7 @@ class FleetRunner:
                                          summary=outcome.value)
             else:
                 entry = checkpoint_entry(outcome.label, fingerprint,
-                                         failure=normalized_failure(outcome))
+                                         failure=_failed_node(outcome))
             checkpoint.journal(entry)
 
         to_run_index = {payload["node"]["node_id"]: index
@@ -178,7 +184,7 @@ class FleetRunner:
             run_node, to_run, jobs=self.jobs,
             label=lambda payload: payload["node"]["node_id"],
             retry=self.retry, prepare=_prepare_payload,
-            classify=is_failure_envelope, on_outcome=_journal)
+            classify=envelope_failure, on_outcome=_journal)
 
         by_node = {}
         retried = {}
@@ -188,8 +194,7 @@ class FleetRunner:
                 if outcome.attempts > 1:
                     retried[outcome.label] = outcome.attempts
             else:
-                by_node[outcome.label] = ("failed",
-                                          normalized_failure(outcome))
+                by_node[outcome.label] = ("failed", _failed_node(outcome))
         resumed_nodes = []
         for node_id, entry in reused.items():
             if entry["outcome"] == "ok":

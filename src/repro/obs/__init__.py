@@ -1,8 +1,8 @@
 """``repro.obs`` — the unified observability spine.
 
 A central :class:`Tracer` (structured, named events with a near-zero-
-overhead disable gate) plus a :class:`MetricsRegistry` (counters, gauges
-and lazily collected *sources*), threaded through
+overhead disable gate) plus a :class:`MetricsRegistry` (counters and
+lazily collected *sources*), threaded through
 :class:`~repro.sim.environment.Environment` so every subsystem emits
 through one spine.  Exporters turn captures into Chrome trace-event JSON
 (Perfetto-loadable), JSONL streams, or text summaries.
@@ -46,7 +46,7 @@ from repro.obs.invariants import (
     check_events,
     default_checkers,
 )
-from repro.obs.registry import Counter, Gauge, MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.session import ObservabilitySession, current, observe
 from repro.obs.spans import (
     ExemplarReservoir,
@@ -74,7 +74,6 @@ __all__ = [
     "Counter",
     "DEFAULT_ALERT_RULES",
     "ExemplarReservoir",
-    "Gauge",
     "InvariantEngine",
     "MetricsRegistry",
     "ObservabilitySession",

@@ -272,9 +272,8 @@ def write_metrics_json(path, registry):
 def format_metrics(snapshot, source_prefixes=("sim.engine",)):
     """Render a snapshot's headline numbers as indented text lines."""
     lines = []
-    for section in ("counters", "gauges"):
-        for name, value in snapshot.get(section, {}).items():
-            lines.append(f"  {name}: {value}")
+    for name, value in snapshot.get("counters", {}).items():
+        lines.append(f"  {name}: {value}")
     for name, data in snapshot.get("sources", {}).items():
         if not name.startswith(tuple(source_prefixes)):
             continue

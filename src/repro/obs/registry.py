@@ -1,4 +1,4 @@
-"""The unified metrics registry: named counters, gauges and sources.
+"""The unified metrics registry: named counters and sources.
 
 One :class:`MetricsRegistry` hangs off every
 :class:`~repro.sim.environment.Environment` (``env.metrics``); when an
@@ -43,56 +43,20 @@ class Counter:
         return f"<Counter {self.name!r} {self.value}>"
 
 
-class Gauge:
-    """Last-write-wins named value, with a running-max convenience."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name):
-        self.name = name
-        self.value = 0
-
-    def set(self, value):
-        self.value = value
-
-    def set_max(self, value):
-        if value > self.value:
-            self.value = value
-
-    def __repr__(self):
-        return f"<Gauge {self.name!r} {self.value}>"
-
-
 class MetricsRegistry:
     """Get-or-create registry of named instruments plus snapshot sources."""
 
     def __init__(self):
         self._counters = {}
-        self._gauges = {}
-        self._kinds = {}
         self._sources = {}
 
     # -- Instruments -----------------------------------------------------------
 
     def counter(self, name):
-        return self._instrument(name, "counter", self._counters, Counter)
-
-    def gauge(self, name):
-        return self._instrument(name, "gauge", self._gauges, Gauge)
-
-    def _instrument(self, name, kind, table, factory):
-        existing_kind = self._kinds.get(name)
-        if existing_kind is None:
-            self._kinds[name] = kind
-            instrument = factory(name)
-            table[name] = instrument
-            return instrument
-        if existing_kind != kind:
-            raise ValueError(
-                f"metric {name!r} already registered as a {existing_kind}, "
-                f"cannot re-register as a {kind}"
-            )
-        return table[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     # -- Sources ---------------------------------------------------------------
 
@@ -122,20 +86,15 @@ class MetricsRegistry:
         """
         return {name: c.value for name, c in sorted(self._counters.items())}
 
-    def gauge_values(self):
-        """``{name: value}`` for every gauge — no sources invoked."""
-        return {name: g.value for name, g in sorted(self._gauges.items())}
-
     def snapshot(self):
         """One nested dict with every instrument value and source dump."""
         return {
-            "counters": {name: c.value for name, c in sorted(self._counters.items())},
-            "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
+            "counters": self.counter_values(),
             "sources": {name: fn() for name, fn in sorted(self._sources.items())},
         }
 
     def __repr__(self):
         return (
             f"<MetricsRegistry counters={len(self._counters)} "
-            f"gauges={len(self._gauges)} sources={len(self._sources)}>"
+            f"sources={len(self._sources)}>"
         )

@@ -269,16 +269,13 @@ class TelemetryBus:
         for collector in self.collectors:
             collector(now_ns)
         counters = {}
-        gauges = {}
         if self.registry is not None:
             for name, value in self.registry.counter_values().items():
                 base = self._counter_base.get(name, 0)
                 counters[name] = CounterSample(name, value, value - base)
                 self._counter_base[name] = value
-            for name, value in self.registry.gauge_values().items():
-                gauges[name] = GaugeSample(name, value)
-        for name, fn in sorted(self.gauge_fns.items()):
-            gauges[name] = GaugeSample(name, fn())
+        gauges = {name: GaugeSample(name, fn())
+                  for name, fn in sorted(self.gauge_fns.items())}
         sketches = {name: channel.drain()
                     for name, channel in sorted(self.channels.items())}
         snapshot = TelemetrySnapshot(

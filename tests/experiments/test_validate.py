@@ -3,6 +3,8 @@
 import os
 import re
 
+import pytest
+
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import ExperimentResult
 from repro.experiments.validate import (
@@ -11,6 +13,7 @@ from repro.experiments.validate import (
     run_validation,
     write_experiments_md,
 )
+from repro.fleet import pool
 
 
 REPORT = os.path.join(os.path.dirname(__file__), "..", "..", "EXPERIMENTS.md")
@@ -43,7 +46,11 @@ def test_expectation_missing_key_is_failure_not_crash():
     assert row_band.evaluate(result) is False
 
 
-def test_run_validation_subset_and_report(tmp_path):
+def test_run_validation_subset_and_report(tmp_path, monkeypatch):
+    def _no_pool(*args, **kwargs):
+        raise AssertionError("jobs=1 must not start a process pool")
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", _no_pool)
     progress = []
     outcomes = run_validation(scale=0.1, seed=0, exp_ids=["fig3", "fig6"],
                               progress=progress.append)
@@ -60,6 +67,19 @@ def test_run_validation_subset_and_report(tmp_path):
     assert "## fig6" in text
     assert "Shape checks" in text
     assert "- [x]" in text
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raising_experiment_is_named_after_the_others_run(jobs):
+    progress = []
+    with pytest.raises(RuntimeError, match="no_such_experiment") as excinfo:
+        run_validation(scale=0.1, seed=0, jobs=jobs,
+                       exp_ids=["no_such_experiment", "fig3"],
+                       progress=progress.append)
+    assert str(excinfo.value).startswith(
+        "1 experiment(s) raised: no_such_experiment: KeyError(")
+    assert sorted(line.partition("(")[0] for line in progress) == [
+        "[ERR ] no_such_experiment: KeyError", "[OK ] fig3 "]
 
 
 def test_report_is_byte_identical_across_jobs(tmp_path):

@@ -22,8 +22,8 @@ from repro.fleet import (
 )
 from repro.fleet.durability import (
     checkpoint_entry,
+    envelope_failure,
     failure_envelope,
-    is_failure_envelope,
     maybe_inject_chaos,
     normalize_chaos,
     payload_fingerprint,
@@ -53,37 +53,33 @@ def test_retry_policy_defaults_mean_no_retry():
     assert policy.max_attempts == 1
     assert policy.delay_s(1) == 0.0
     assert policy.delay_s(5) == 0.0
-    assert policy.timeout_for(1) is None
+    assert policy.timeout_s is None
 
 
-def test_retry_policy_backoff_and_timeout_schedules():
-    policy = RetryPolicy(max_attempts=4, backoff_s=0.5,
-                         backoff_multiplier=3.0, timeout_s=2.0,
-                         timeout_multiplier=2.0)
+def test_retry_policy_backoff_doubles():
+    policy = RetryPolicy(max_attempts=4, backoff_s=0.5)
     assert policy.delay_s(1) == 0.0          # first attempt never waits
     assert policy.delay_s(2) == 0.5
-    assert policy.delay_s(3) == 1.5
-    assert policy.delay_s(4) == 4.5
-    assert policy.timeout_for(1) == 2.0
-    assert policy.timeout_for(3) == 8.0
+    assert policy.delay_s(3) == 1.0
+    assert policy.delay_s(4) == 2.0
 
 
 @pytest.mark.parametrize("bad", [
     {"max_attempts": 0},
     {"backoff_s": -1.0},
-    {"backoff_multiplier": 0.5},
+    {"backoff_s": "fast"},
     {"timeout_s": 0.0},
-    {"timeout_multiplier": 0.9},
+    {"max_attempts": 2, "jitter_s": 0.1},   # unknown field
 ])
 def test_retry_policy_validation(bad):
     with pytest.raises(ValueError):
-        RetryPolicy(**bad)
+        RetryPolicy.from_value(bad)
 
 
 def test_retry_policy_round_trips_sparsely():
     assert RetryPolicy().to_dict() == {"max_attempts": 1}
     assert RetryPolicy(max_attempts=3, backoff_s=0.1).to_dict() == {
-        "max_attempts": 3, "backoff_s": 0.1, "backoff_multiplier": 2.0}
+        "max_attempts": 3, "backoff_s": 0.1}
     policy = RetryPolicy(max_attempts=3, backoff_s=0.1, timeout_s=5.0)
     assert RetryPolicy.from_value(policy.to_dict()) == policy
     assert RetryPolicy.from_value(None) == RetryPolicy()
@@ -108,15 +104,14 @@ def test_failure_envelope_shape():
     try:
         raise ValueError("kaboom")
     except ValueError as exc:
-        envelope = failure_envelope("node-07", 2, exc)
-    assert is_failure_envelope(envelope)
-    assert envelope["node_id"] == "node-07"
-    assert envelope["attempt"] == 2
-    assert envelope["kind"] == "exception"
-    assert envelope["error"] == "ValueError('kaboom')"
-    assert any("kaboom" in line for line in envelope["traceback"])
-    assert not is_failure_envelope({"node_id": "x"})
-    assert not is_failure_envelope("nope")
+        envelope = failure_envelope(exc)
+    failure = envelope_failure(envelope)
+    assert list(failure) == ["kind", "error", "traceback"]
+    assert failure["kind"] == "exception"
+    assert failure["error"] == "ValueError('kaboom')"
+    assert any("kaboom" in line for line in failure["traceback"])
+    assert envelope_failure({"node_id": "x"}) is None
+    assert envelope_failure("nope") is None
 
 
 def test_normalize_chaos_forms():
@@ -233,6 +228,29 @@ def test_verify_fleet_report_detects_tampering():
     del broken["aggregate"]["degraded"]
     assert any("degraded flag" in problem
                for problem in verify_fleet_report(broken))
+
+
+def test_pool_crash_is_contained_and_retried():
+    # n0's first attempt hard-exits its worker; the pool is rebuilt, every
+    # node in flight is charged a crash attempt, and the retries succeed.
+    spec = _tiny_spec(2)
+    crashed = FleetRunner(_with(spec, chaos={"node-00": {
+        "fail_attempts": 1, "kind": "crash"}}, retry={"max_attempts": 2}),
+        jobs=2, scale=0.5).run()
+    clean = FleetRunner(spec, jobs=2, scale=0.5).run()
+    assert "failed_nodes" not in crashed["aggregate"]
+    assert crashed["timing"]["retried"]["node-00"] == 2
+    assert crashed["nodes"] == clean["nodes"]
+
+
+def test_pool_timeout_fails_every_node_and_returns():
+    report = FleetRunner(_with(_tiny_spec(2), retry={"timeout_s": 0.01}),
+                         jobs=2, scale=0.5, allow_failures=True).run()
+    failed = report["aggregate"]["failed_nodes"]
+    assert [entry["node_id"] for entry in failed] == ["node-00", "node-01"]
+    assert {entry["kind"] for entry in failed} == {"timeout"}
+    assert report["nodes"] == []
+    assert verify_fleet_report(report) == []
 
 
 # -- Checkpoint / resume -------------------------------------------------------

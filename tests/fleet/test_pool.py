@@ -1,11 +1,11 @@
-"""pool_imap / pool_outcomes: ordering, error wrapping, containment."""
+"""pool_outcomes: ordering, containment, retries, the serial path."""
 
 import time
 
 import pytest
 
-from repro.fleet import Outcome, PoolTaskError, pool_imap, pool_map, pool_outcomes
-from repro.fleet.durability import RetryPolicy, is_failure_envelope
+from repro.fleet import Outcome, pool, pool_outcomes
+from repro.fleet.durability import RetryPolicy, envelope_failure
 
 
 # Workers must be module-level for the process-pool pickle contract.
@@ -33,9 +33,8 @@ def _envelope_below(payload):
     # attempts instead of raising (the fleet node contract).
     value, threshold = payload["value"], payload["threshold"]
     if payload["attempt"] < threshold:
-        return {"__fleet_failure__": True, "node_id": str(value),
-                "attempt": payload["attempt"], "kind": "exception",
-                "error": "not yet", "traceback": []}
+        return {"__fleet_failure__": True, "kind": "exception",
+                "error": f"not yet ({payload['attempt']})", "traceback": []}
     return f"ok-{value}"
 
 
@@ -43,44 +42,66 @@ def _prepare(payload, attempt, parallel):
     return {**payload, "attempt": attempt, "parallel": parallel}
 
 
+def _values(outcomes):
+    assert all(outcome.ok for outcome in outcomes)
+    return [outcome.value for outcome in outcomes]
+
+
 def test_serial_and_parallel_agree():
     payloads = list(range(6))
     expected = [_square(p) for p in payloads]
-    assert pool_map(_square, payloads, jobs=1) == expected
-    assert pool_map(_square, payloads, jobs=3) == expected
+    assert _values(pool_outcomes(_square, payloads, jobs=1)) == expected
+    assert _values(pool_outcomes(_square, payloads, jobs=3)) == expected
 
 
 def test_more_jobs_than_payloads():
     # The pool must clamp workers to the payload count, not reject.
-    assert pool_map(_square, [1, 2, 3], jobs=16) == [1, 4, 9]
+    assert _values(pool_outcomes(_square, [1, 2, 3], jobs=16)) == [1, 4, 9]
 
 
 def test_empty_payload_list():
-    assert pool_map(_square, [], jobs=4) == []
-    assert list(pool_imap(_square, [], jobs=1)) == []
+    assert pool_outcomes(_square, [], jobs=4) == []
+    assert pool_outcomes(_square, [], jobs=1) == []
 
 
 def test_input_order_despite_reverse_completion():
     count = 4
     payloads = [(index, count) for index in range(count)]
-    assert pool_map(_sleep_inverse, payloads, jobs=count) == list(range(count))
+    outcomes = pool_outcomes(_sleep_inverse, payloads, jobs=count)
+    assert _values(outcomes) == list(range(count))
+    assert [outcome.index for outcome in outcomes] == list(range(count))
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_worker_error_wrapped_with_index_and_label(jobs):
-    with pytest.raises(PoolTaskError) as excinfo:
-        pool_map(_boom_on_two, [0, 1, 2, 3], jobs=jobs,
-                 label=lambda payload: f"node-{payload}")
-    err = excinfo.value
-    assert err.index == 2
-    assert err.label == "node-2"
-    assert isinstance(err.cause, ValueError)
-    assert "node-2" in str(err) and "payload 2" in str(err)
+def test_serial_runs_in_process_one_payload_at_a_time(monkeypatch):
+    def _no_pool(*args, **kwargs):
+        raise AssertionError("jobs=1 must not start a process pool")
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", _no_pool)
+    calls = []
+
+    def _record(payload):
+        calls.append(payload)
+        if payload["attempt"] < payload["threshold"]:
+            raise ValueError(f"attempt {payload['attempt']}")
+        return payload["value"], payload["parallel"]
+
+    payloads = [{"value": value, "threshold": 2} for value in range(2)]
+    outcomes = pool_outcomes(_record, payloads, jobs=1,
+                             retry=RetryPolicy(max_attempts=2,
+                                               backoff_s=0.01,
+                                               timeout_s=1e-9),
+                             prepare=_prepare)
+    assert _values(outcomes) == [(0, False), (1, False)]
+    # Every attempt of payload 0, backoff included, ends before payload 1
+    # starts, and the timeout never preempts an in-process call.
+    assert [(call["value"], call["attempt"]) for call in calls] == [
+        (0, 1), (0, 2), (1, 1), (1, 2)]
 
 
 def test_worker_error_without_label_names_index():
-    with pytest.raises(PoolTaskError, match="payload 1"):
-        pool_map(_boom_on_two, [0, 2], jobs=1)
+    failed = pool_outcomes(_boom_on_two, [0, 2], jobs=1)[1]
+    assert (failed.index, failed.label, failed.ok) == (1, None, False)
+    assert "cursed" in failed.failure["error"]
 
 
 # -- pool_outcomes -------------------------------------------------------------
@@ -108,7 +129,7 @@ def test_outcomes_retry_recovers_transients(jobs):
                 for value in range(3)]
     outcomes = pool_outcomes(_envelope_below, payloads, jobs=jobs,
                              retry=RetryPolicy(max_attempts=3),
-                             prepare=_prepare, classify=is_failure_envelope)
+                             prepare=_prepare, classify=envelope_failure)
     assert [outcome.value for outcome in outcomes] == [
         "ok-0", "ok-1", "ok-2"]
     assert [outcome.attempts for outcome in outcomes] == [1, 2, 1]
@@ -118,11 +139,14 @@ def test_outcomes_exhausted_retries_keep_last_envelope():
     payloads = [{"value": 7, "threshold": 99}]
     outcomes = pool_outcomes(_envelope_below, payloads, jobs=1,
                              retry=RetryPolicy(max_attempts=2),
-                             prepare=_prepare, classify=is_failure_envelope)
+                             prepare=_prepare, classify=envelope_failure)
     outcome = outcomes[0]
     assert not outcome.ok
     assert outcome.attempts == 2
-    assert outcome.failure["attempt"] == 2  # the envelope of the last try
+    assert outcome.value is None
+    # The record of the last try, without the envelope's marker key.
+    assert outcome.failure == {"kind": "exception", "error": "not yet (2)",
+                               "traceback": []}
 
 
 def test_outcomes_on_outcome_fires_once_per_payload():

@@ -1,7 +1,5 @@
 """Tests for the metrics registry."""
 
-import pytest
-
 from repro.obs import MetricsRegistry, format_metrics
 
 
@@ -12,23 +10,6 @@ def test_counter_get_or_create_and_inc():
     counter.inc(4)
     assert registry.counter("dp.idle_yields") is counter
     assert registry.snapshot()["counters"]["dp.idle_yields"] == 5
-
-
-def test_gauge_set_and_set_max():
-    registry = MetricsRegistry()
-    gauge = registry.gauge("engine.heap_peak")
-    gauge.set(10)
-    gauge.set_max(7)
-    assert gauge.value == 10
-    gauge.set_max(42)
-    assert registry.snapshot()["gauges"]["engine.heap_peak"] == 42
-
-
-def test_cross_type_reregistration_rejected():
-    registry = MetricsRegistry()
-    registry.counter("x")
-    with pytest.raises(ValueError):
-        registry.gauge("x")
 
 
 def test_sources_collected_lazily_and_deduped():
