@@ -84,8 +84,7 @@ class InstructionAuditor:
         vcpu = self.taichi.vcpus[vcpu_index]
         session = AuditSession(
             thread=thread,
-            original_affinity=(set(thread.affinity)
-                               if thread.affinity is not None else None),
+            original_affinity=thread.affinity,
             vcpu_id=vcpu.cpu_id,
             started_ns=self.env.now,
         )

@@ -44,6 +44,7 @@ produce.
 import hashlib
 import json
 import os
+import re
 import traceback
 from dataclasses import dataclass, fields, replace
 
@@ -57,6 +58,12 @@ TRACEBACK_TAIL_LINES = 6
 
 #: Sentinel key marking a worker return value as a failure envelope.
 FAILURE_KEY = "__fleet_failure__"
+
+#: The directory holding the ``repro`` package; failure records name
+#: source files relative to it.
+_SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+_FRAME_LINE = re.compile(r'^(\s*)File "([^"]*)", line \d+, in (.*)$')
 
 
 class InjectedWorkerFault(RuntimeError):
@@ -156,11 +163,28 @@ def exception_failure(exc):
     "traceback"}``: raised exceptions, pool ``crash`` and ``timeout``
     attempts, and the worker envelope's payload alike.  The runner adds
     ``node_id`` and ``attempts`` when it reports or journals the node.
+    Its frames carry no checkout path and no line number, so the record
+    is the same wherever the source lives and whatever moved above the
+    raise site.
     """
     lines = "".join(traceback.format_exception(
         type(exc), exc, exc.__traceback__)).rstrip("\n").splitlines()
     return {"kind": "exception", "error": repr(exc),
-            "traceback": lines[-TRACEBACK_TAIL_LINES:]}
+            "traceback": [_portable_frame(line)
+                          for line in lines[-TRACEBACK_TAIL_LINES:]]}
+
+
+def _portable_frame(line):
+    """``File "<path>", line <N>, in <f>`` as ``File "<rel>", in <f>``:
+    the path relative to the source root, or its file name outside it."""
+    match = _FRAME_LINE.match(line)
+    if match is None:
+        return line
+    indent, path, function = match.groups()
+    relative = os.path.relpath(path, _SOURCE_ROOT)
+    if relative.startswith(os.pardir):
+        relative = os.path.basename(path)
+    return f'{indent}File "{relative.replace(os.sep, "/")}", in {function}'
 
 
 def failure_envelope(exc):

@@ -173,12 +173,11 @@ class Kernel:
         poller has one), with one ``placement_load()`` call each.
         """
         affinity = thread.affinity
-        allowed = None if affinity is None else frozenset(affinity)
-        candidates = self._candidates.get(allowed)
+        candidates = self._candidates.get(affinity)
         if candidates is None:
-            candidates = self._candidates[allowed] = [
+            candidates = self._candidates[affinity] = [
                 cpu for cpu in self.cpus.values()
-                if allowed is None or cpu.cpu_id in allowed]
+                if affinity is None or cpu.cpu_id in affinity]
         first_idle = None            # first zero-load non-parking candidate
         best = None                  # least-loaded non-parking candidate
         best_key = None
@@ -221,16 +220,19 @@ class Kernel:
         """Change a thread's CPU affinity at runtime (sched_setaffinity).
 
         A READY thread queued on a now-disallowed CPU is re-placed
-        immediately; a RUNNING thread is kicked and migrates at its next
+        immediately, and one that stays queued is re-counted under its new
+        affinity; a RUNNING thread is kicked and migrates at its next
         preemption point; a BLOCKED thread is handled by wake placement.
         """
-        thread.affinity = set(cpu_ids)
+        old_affinity = thread.affinity
+        thread.affinity = frozenset(cpu_ids)
         if thread.state is ThreadState.READY:
             for cpu in self.cpus.values():
-                if not thread.can_run_on(cpu.cpu_id):
-                    if cpu.runqueue.dequeue(thread):
+                if cpu.runqueue.rekey(thread, old_affinity):
+                    if not thread.can_run_on(cpu.cpu_id):
+                        cpu.runqueue.dequeue(thread)
                         self.place_thread(thread)
-                        break
+                    break
         elif thread.state is ThreadState.RUNNING and thread.cpu is not None:
             if not thread.can_run_on(thread.cpu.cpu_id):
                 thread.cpu.kick()
@@ -266,25 +268,21 @@ class Kernel:
         The first victim (in CPU registration order) that is congested or
         an unbacked vCPU, and queues a fair thread allowed on ``idle_cpu``,
         gives up the eligible fair thread with the lowest ``(vruntime,
-        tid)``.  Realtime threads are never stolen.
+        tid)``.  Realtime threads are never stolen.  A victim whose queue
+        holds no fair thread allowed on ``idle_cpu`` (its affinity counts
+        say so) is passed over without a scan of its threads.
         """
         idle_id = idle_cpu.cpu_id
         for victim in self.cpus.values():
             rq = victim.runqueue
-            if victim is idle_cpu or not rq._fair:
+            if (victim is idle_cpu or not rq._fair
+                    or not rq.may_give(idle_id)):
                 continue
             unbacked_vcpu = victim.is_virtual and not getattr(
                 victim, "is_backed", True)
             if not unbacked_vcpu and victim.load() < 2:
                 continue
-            best = None
-            for thread in rq._fair:
-                if thread.can_run_on(idle_id) and (
-                        best is None
-                        or thread.vruntime < best.vruntime
-                        or (thread.vruntime == best.vruntime
-                            and thread.tid < best.tid)):
-                    best = thread
+            best = rq.steal_candidate(idle_id)
             if best is None:
                 continue
             rq.dequeue(best)

@@ -17,14 +17,21 @@ class RunQueue:
     Realtime threads are FIFO and always beat fair threads.  Fair threads
     are picked by minimum virtual runtime, weighted by ``nice_weight``
     (a lightweight CFS).
+
+    The queue also counts its fair threads per affinity set, so newidle
+    balancing can ask :meth:`may_give` whether any of them may run on a
+    CPU by scanning a few distinct sets instead of every thread.
     """
 
-    __slots__ = ("cpu_id", "_rt", "_fair", "min_vruntime")
+    __slots__ = ("cpu_id", "_rt", "_fair", "_affinities", "min_vruntime")
 
     def __init__(self, cpu_id):
         self.cpu_id = cpu_id
         self._rt = deque()
         self._fair = []
+        # Queued fair threads per affinity set (``None`` = any CPU); a set
+        # whose count falls to zero is removed.
+        self._affinities = {}
         self.min_vruntime = 0.0
 
     def __len__(self):
@@ -48,6 +55,18 @@ class RunQueue:
             if thread.vruntime < self.min_vruntime:
                 thread.vruntime = self.min_vruntime
             self._fair.append(thread)
+            affinities = self._affinities
+            affinity = thread.affinity
+            affinities[affinity] = affinities.get(affinity, 0) + 1
+
+    def _forget(self, affinity):
+        """Drop one queued fair thread of ``affinity`` from the counts."""
+        affinities = self._affinities
+        left = affinities[affinity] - 1
+        if left:
+            affinities[affinity] = left
+        else:
+            del affinities[affinity]
 
     def dequeue(self, thread):
         """Remove a specific thread (e.g. migrated away); returns success."""
@@ -56,8 +75,43 @@ class RunQueue:
             return True
         if thread in self._fair:
             self._fair.remove(thread)
+            self._forget(thread.affinity)
             return True
         return False
+
+    def rekey(self, thread, old_affinity):
+        """Whether ``thread`` is queued here; a queued fair thread whose
+        affinity was replaced (it was ``old_affinity``) is re-counted
+        under its new one."""
+        if thread in self._rt:
+            return True
+        if thread in self._fair:
+            self._forget(old_affinity)
+            affinities = self._affinities
+            affinity = thread.affinity
+            affinities[affinity] = affinities.get(affinity, 0) + 1
+            return True
+        return False
+
+    def may_give(self, cpu_id):
+        """Whether any queued fair thread may run on CPU ``cpu_id``."""
+        for affinity in self._affinities:
+            if affinity is None or cpu_id in affinity:
+                return True
+        return False
+
+    def steal_candidate(self, cpu_id):
+        """The queued fair thread allowed on ``cpu_id`` with the lowest
+        ``(vruntime, tid)``, or ``None``; it stays queued."""
+        best = None
+        for thread in self._fair:
+            if thread.can_run_on(cpu_id) and (
+                    best is None
+                    or thread.vruntime < best.vruntime
+                    or (thread.vruntime == best.vruntime
+                        and thread.tid < best.tid)):
+                best = thread
+        return best
 
     def pick_next(self):
         """Pop the best candidate, or ``None`` if empty."""
@@ -76,6 +130,7 @@ class RunQueue:
                     best = t
                     best_i = i
             del fair[best_i]
+            self._forget(best.affinity)
             if best.vruntime > self.min_vruntime:
                 self.min_vruntime = best.vruntime
             return best

@@ -20,10 +20,11 @@ class KThread:
     Attributes:
         name: human-readable identifier.
         body: generator yielding :mod:`~repro.kernel.instructions` objects.
-        affinity: set of CPU ids the thread may run on (``None`` = any).
+        affinity: frozenset of CPU ids the thread may run on (``None`` =
+            any).  Replaced, never mutated: run queues and wake placement
+            key on it.
         sched_class: realtime (DP services) or fair (everything else).
         nice_weight: CFS weight; higher weight accrues vruntime more slowly.
-        pinned_cpu: resolved home CPU, if single-CPU affinity.
     """
 
     __slots__ = ("tid", "name", "body", "affinity", "sched_class",
@@ -38,7 +39,7 @@ class KThread:
         self.tid = next(_thread_ids)
         self.name = name
         self.body = body
-        self.affinity = set(affinity) if affinity is not None else None
+        self.affinity = frozenset(affinity) if affinity is not None else None
         self.sched_class = sched_class if sched_class is not None else SchedClass.FAIR
         self.nice_weight = float(nice_weight)
 

@@ -62,7 +62,8 @@ _SEGMENT_NAME = {
 }
 
 #: Flat-event kinds the tracker's hook actually consumes; everything
-#: else early-returns (the hook runs on every trace event).
+#: else early-returns.  Declared to the tracer, which builds no other
+#: kind while the tracker is its only reader and it retains nothing.
 _HANDLED_KINDS = frozenset((
     "sched_in", "sched_out", "vmenter", "vmexit", "ipi_send",
     "ipi_deliver", "hwprobe_irq", "fault.ipi_drop", "ipi.dropped",
@@ -209,7 +210,7 @@ class SpanTracker:
             # Decided once: a checker hooked later sees no span events at
             # all rather than a span.end whose span.begin was skipped.
             self._sole_reader = not self.env.tracer.hooks
-            self.env.tracer.add_hook(self.observe)
+            self.env.tracer.add_hook(self.observe, kinds=_HANDLED_KINDS)
         return self
 
     def disable(self):

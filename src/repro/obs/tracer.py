@@ -13,7 +13,8 @@ checkers, the span tracker) see every event of an enabled tracer, but
 only a tracer someone asked to trace (``observe(trace=True)`` or an
 explicit :meth:`Tracer.enable`) *retains* them in its ring.  A tracer
 enabled by :meth:`Tracer.add_hook` alone builds each event for its hooks
-and stores nothing.
+and stores nothing; when every hook declared the kinds it reads, it
+builds only events of those kinds.
 
 Event taxonomy (``docs/observability.md`` has the full reference):
 
@@ -62,6 +63,9 @@ class Tracer(Timeline):
         # including ones a full ring later evicts — so inline consumers
         # (streaming invariant checkers) see the unabridged stream.
         self.hooks = []
+        self._hook_kinds = []  # per hook, the kinds it reads (None = all)
+        # The kinds any hook reads, or None when some hook reads them all.
+        self._kinds = None
 
     def enable(self):
         self.enabled = True
@@ -72,17 +76,32 @@ class Tracer(Timeline):
         self.enabled = False
         return self
 
-    def add_hook(self, hook):
+    def add_hook(self, hook, kinds=None):
         """Subscribe ``hook(event)`` to every recorded event; enables the
         tracer (a hooked tracer that stays gated would observe nothing)
-        without making it retain: hooks see events nobody stores."""
+        without making it retain: hooks see events nobody stores.
+
+        A hook that reads only some event ``kinds`` says so, and promises
+        to ignore the rest: while no hook reads every kind and nothing is
+        retained, events of no hook's kind are never built.
+        """
         self.hooks.append(hook)
+        self._hook_kinds.append(None if kinds is None else frozenset(kinds))
+        self._update_kinds()
         self.enabled = True
         return hook
 
     def remove_hook(self, hook):
         if hook in self.hooks:
-            self.hooks.remove(hook)
+            index = self.hooks.index(hook)
+            del self.hooks[index]
+            del self._hook_kinds[index]
+            self._update_kinds()
+
+    def _update_kinds(self):
+        declared = self._hook_kinds
+        self._kinds = (None if None in declared
+                       else frozenset().union(*declared))
 
     def record(self, ts_ns, cpu_id, kind, **detail):
         if not self.enabled:
@@ -90,6 +109,9 @@ class Tracer(Timeline):
         if self.retain:
             event = super().record(ts_ns, cpu_id, kind, **detail)
         else:
+            kinds = self._kinds
+            if kinds is not None and kind not in kinds:
+                return
             event = TimelineEvent(ts_ns, cpu_id, kind, detail)
         for hook in self.hooks:
             hook(event)

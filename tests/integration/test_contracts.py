@@ -26,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.cp import device_mgmt
 from repro.experiments.cli import main
 from repro.faults.plan import PRESETS as FAULT_PRESETS, FaultPlan
@@ -274,6 +275,18 @@ def test_retry_and_resume_match_a_clean_run(fleet, journaled, retried):
     assert report_bytes(resumed) == report_bytes(uninterrupted)
     assert resumed["timing"]["resumed_nodes"] == sorted(
         node.node_id for node in fleet.nodes[:journaled])
+
+
+def test_degraded_fleet_bytes_do_not_name_the_checkout():
+    """A failed node's record names frames without the checkout path or
+    a line number, so its bytes do not depend on where the source lives
+    or on edits above the raise site."""
+    text = report_bytes(run_fleet(DEGRADED_FLEET))
+    assert "repro/fleet/durability.py" in text   # n1 fails every attempt
+    repository_root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(repro.__file__))))
+    assert repository_root not in text
+    assert re.search(r"line \d+", text) is None
 
 
 def test_killed_cli_fleet_resumes_to_the_uninterrupted_bytes(tmp_path):

@@ -11,11 +11,20 @@ creates or drops events fails ``bench/`` even when nothing simulated
 moved.  This test reports that failure by name, in the tier-1 suite,
 before the benchmark does.  A change meant to alter event counts must
 update these pins and re-pin the benchmark in the same change.
+
+The tenant soak runs with isolation on, so its CP threads are pinned to
+their tenants' CPUs; it also holds newidle stealing to an exact cost.
 """
 
+from unittest import mock
+
+import pytest
+
 from repro.fleet import FleetSpec, run_fleet
+from repro.kernel import Kernel, RunQueue
 from repro.scenario import Scenario, run_soak
 from repro.sim.units import MILLISECONDS
+from tests.tenancy.test_tenancy_soak import TENANTS
 
 #: ``(events_processed, events_skipped)`` for a 40+10 ms taichi soak.
 SOAK_EVENTS = (35_871, 121_869)
@@ -26,6 +35,10 @@ FLEET_EVENTS = {
     "rack-00": (32_528, 129_644),
     "rack-01": (36_350, 107_211),
 }
+
+#: ``(events_processed, events_skipped, kernel.steals)`` for a 30+15 ms
+#: isolation-on soak of ``TENANTS`` at seed 11.
+TENANT_EVENTS = (42_212, 103_378, 4)
 
 
 def test_taichi_soak_event_counts_are_pinned():
@@ -44,3 +57,48 @@ def test_rack_fleet_event_counts_are_pinned():
                                 node["metrics"]["engine_events_skipped"])
               for node in report["nodes"]}
     assert counts == FLEET_EVENTS
+
+
+@pytest.fixture(scope="module")
+def tenant_soak():
+    """The tenant soak, with its kernels and every victim scan recorded.
+
+    Returns ``(summary, kernels, scans)``: ``scans`` holds what each
+    ``RunQueue.steal_candidate`` call found (``None`` for nothing).
+    """
+    kernels, scans = set(), []
+    steal_work, steal_candidate = Kernel.steal_work, RunQueue.steal_candidate
+
+    def recording_steal_work(kernel, idle_cpu):
+        kernels.add(kernel)
+        return steal_work(kernel, idle_cpu)
+
+    def recording_steal_candidate(runqueue, cpu_id):
+        scans.append(steal_candidate(runqueue, cpu_id))
+        return scans[-1]
+
+    with mock.patch.object(Kernel, "steal_work", recording_steal_work), \
+            mock.patch.object(RunQueue, "steal_candidate",
+                              recording_steal_candidate):
+        summary = run_soak(Scenario(arm="taichi", tenants=TENANTS), seed=11,
+                           duration_ns=30 * MILLISECONDS,
+                           drain_ns=15 * MILLISECONDS, label="tenant-soak")
+    return summary, kernels, scans
+
+
+def test_tenant_soak_event_counts_are_pinned(tenant_soak):
+    summary, kernels, _ = tenant_soak
+    assert summary["tenancy"]["isolation"] is True
+    engine = summary["engine"]
+    assert (engine["events_processed"], engine["events_skipped"],
+            sum(kernel.steals for kernel in kernels)) == TENANT_EVENTS
+
+
+def test_every_victim_scan_gives_up_a_thread(tenant_soak):
+    """The steal-cost gate: a victim queue with no fair thread allowed on
+    the idle CPU is skipped unscanned, so each scan ends in a steal."""
+    _, kernels, scans = tenant_soak
+    steals = sum(kernel.steals for kernel in kernels)
+    assert steals > 0
+    assert None not in scans
+    assert len(scans) == steals

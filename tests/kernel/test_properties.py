@@ -3,7 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel import Compute, Kernel, KernelSection, SchedClass, Sleep
+from repro.kernel import (
+    Compute, Kernel, KernelSection, SchedClass, Sleep, ThreadState,
+)
 from repro.sim import Environment, MICROSECONDS, MILLISECONDS, SECONDS
 
 
@@ -93,3 +95,110 @@ def test_realtime_always_finishes_before_equal_length_fair(n_rt, n_fair):
     last_rt = max(v for k, v in finish.items() if k.startswith("rt"))
     first_fair_exit = min(v for k, v in finish.items() if k.startswith("fair"))
     assert last_rt <= first_fair_exit + 2 * MILLISECONDS
+
+
+N_CPUS = 4
+cpu_ids = st.integers(min_value=0, max_value=N_CPUS - 1)
+cpu_sets = st.frozensets(cpu_ids, min_size=1)
+#: One step on a kernel whose executors never run, so run queues change
+#: only through the step: ``(op, *args)``.  Spawns are drawn three times
+#: as often as the rest, so queues fill and victims become congested.
+index_steps = st.one_of(
+    st.tuples(st.just("spawn"), st.none() | cpu_sets, st.booleans()),
+    st.tuples(st.just("spawn"), cpu_sets, st.just(False)),
+    st.tuples(st.just("spawn"), cpu_sets, st.just(False)),
+    st.tuples(st.just("pick"), cpu_ids, st.integers(0, 3_000)),
+    st.tuples(st.just("dequeue"), st.integers(0, 63)),
+    st.tuples(st.just("set_affinity"), st.integers(0, 63), cpu_sets),
+    st.tuples(st.just("offline"), cpu_ids),
+    st.tuples(st.just("online"), cpu_ids),
+    st.tuples(st.just("steal"), cpu_ids),
+)
+
+
+def _queued_fair(runqueue):
+    return [thread for thread in runqueue.threads()
+            if thread.sched_class is SchedClass.FAIR]
+
+
+def _reference_steal(kernel, idle_cpu):
+    """``Kernel.steal_work``'s choice, by scanning every queued thread."""
+    for victim in kernel.cpus.values():
+        if victim is idle_cpu:
+            continue
+        unbacked_vcpu = victim.is_virtual and not getattr(
+            victim, "is_backed", True)
+        if not unbacked_vcpu and victim.load() < 2:
+            continue
+        allowed = [thread for thread in _queued_fair(victim.runqueue)
+                   if thread.can_run_on(idle_cpu.cpu_id)]
+        if allowed:
+            return min(allowed, key=lambda t: (t.vruntime, t.tid))
+    return None
+
+
+def _has_online(kernel, affinity, but=None):
+    return any(cpu.online and cpu is not but
+               and (affinity is None or cpu.cpu_id in affinity)
+               for cpu in kernel.cpus.values())
+
+
+@given(steps=st.lists(index_steps, min_size=10, max_size=80))
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+def test_affinity_index_answers_like_a_scan(steps):
+    """After every step, each queue's "may give to CPU c" answer equals a
+    scan of its fair threads, and ``steal_work`` steals what a scan of
+    every queued thread picks."""
+    env = Environment()
+    kernel = Kernel(env)
+    for cpu_id in range(N_CPUS):
+        kernel.add_cpu(cpu_id)
+    cpus = list(kernel.cpus.values())
+    spawned = []
+    steals = 0
+    for op, *args in steps:
+        if op == "spawn":
+            affinity, realtime = args
+            if _has_online(kernel, affinity):
+                spawned.append(kernel.spawn(
+                    f"t{len(spawned)}", iter(()), affinity=affinity,
+                    sched_class=(SchedClass.REALTIME if realtime
+                                 else SchedClass.FAIR)))
+        elif op == "pick":
+            # The executor's step: run the best thread, then wake it.
+            cpu_id, ran_us = args
+            runqueue = kernel.cpus[cpu_id].runqueue
+            thread = runqueue.pick_next()
+            if thread is not None:
+                runqueue.charge(thread, ran_us * MICROSECONDS)
+                thread.state = ThreadState.BLOCKED
+                if _has_online(kernel, thread.affinity):
+                    kernel.wake_thread(thread)
+        elif op == "dequeue" and spawned:
+            thread = spawned[args[0] % len(spawned)]
+            if any(cpu.runqueue.dequeue(thread) for cpu in cpus):
+                thread.state = ThreadState.BLOCKED
+        elif op == "set_affinity" and spawned:
+            index, affinity = args
+            if _has_online(kernel, affinity):
+                kernel.set_affinity(spawned[index % len(spawned)], affinity)
+        elif op == "offline":
+            cpu = kernel.cpus[args[0]]
+            if cpu.online and all(
+                    _has_online(kernel, thread.affinity, but=cpu)
+                    for thread in cpu.runqueue.threads()):
+                cpu._go_offline()
+        elif op == "online":
+            kernel.cpus[args[0]].set_online()
+        elif op == "steal":
+            idle_cpu = kernel.cpus[args[0]]
+            if idle_cpu.online:
+                expected = _reference_steal(kernel, idle_cpu)
+                assert kernel.steal_work(idle_cpu) is expected
+                steals += expected is not None
+        for cpu in cpus:
+            fair = _queued_fair(cpu.runqueue)
+            for cpu_id in range(N_CPUS):
+                assert cpu.runqueue.may_give(cpu_id) == any(
+                    thread.can_run_on(cpu_id) for thread in fair)
+    assert kernel.steals == steals

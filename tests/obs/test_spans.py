@@ -24,6 +24,7 @@ from repro.obs.analysis import (
 )
 from repro.obs.invariants import SpanPairingChecker
 from repro.obs.spans import (
+    _HANDLED_KINDS,
     ExemplarReservoir,
     SpanTracker,
     build_span_trees,
@@ -356,11 +357,13 @@ def _taichi_soak():
 
 
 def test_spans_only_soak_pays_for_what_it_keeps(monkeypatch):
-    """The span-cost gate: a spans-only soak stores no trace and
-    attributes under 1% of its roots, yet its summary (exemplars
-    included) equals a traced soak's, which attributes every packet."""
-    trackers, attributed = [], []
+    """The span-cost gate: a spans-only soak stores no trace, builds only
+    the events its tracker reads, and attributes under 1% of its roots,
+    yet its summary (exemplars included) equals a traced soak's, which
+    hands the tracker every event and attributes every packet."""
+    trackers, attributed, observed = [], [], []
     enable, attribute = SpanTracker.enable, SpanTracker.attribute
+    tracker_observe = SpanTracker.observe
 
     def recording_enable(self, *args, **kwargs):
         trackers.append(self)
@@ -370,19 +373,32 @@ def test_spans_only_soak_pays_for_what_it_keeps(monkeypatch):
         attributed.append(self)
         return attribute(self, *args)
 
+    def counting_observe(self, event):
+        observed.append(event.kind)
+        return tracker_observe(self, event)
+
     monkeypatch.setattr(SpanTracker, "enable", recording_enable)
     monkeypatch.setattr(SpanTracker, "attribute", counting_attribute)
+    monkeypatch.setattr(SpanTracker, "observe", counting_observe)
 
     lean = _taichi_soak()
     (tracker,) = trackers
     completed = lean["spans"]["completed"]
     assert len(tracker.env.tracer) == 0 and tracker.env.tracer.dropped == 0
     assert 0 < len(attributed) < 0.01 * completed
+    lean_observed = list(observed)
+    assert lean_observed and set(lean_observed) <= _HANDLED_KINDS
 
     attributed.clear()
+    observed.clear()
     with observe(trace=True):
         traced = _taichi_soak()
     assert len(attributed) >= completed
+    # One observe call per handled-kind event: the same handled events
+    # as the traced soak, none of the others it hands over.
+    handled = [kind for kind in observed if kind in _HANDLED_KINDS]
+    assert lean_observed == handled
+    assert len(observed) > len(handled)
     assert json.dumps(traced, sort_keys=True) == \
         json.dumps(lean, sort_keys=True)
 

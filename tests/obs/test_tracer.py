@@ -47,3 +47,24 @@ def test_instrumentation_sites_pay_only_the_guard(kernel):
     kernel.env.run()
     assert len(kernel.env.tracer) == 0
     assert kernel.env.tracer.dropped == 0
+
+
+def test_hooks_that_declare_kinds_see_only_those_kinds():
+    tracer = Tracer()
+    seen, everything = [], []
+    tracer.add_hook(lambda event: seen.append(event.kind), kinds={"vmenter"})
+    tracer.record(10, 0, "sched_in", thread="a")
+    tracer.record(20, 0, "vmenter")
+    assert seen == ["vmenter"] and len(tracer) == 0
+    # A hook that declares nothing reads every kind, so all are built.
+    hook = tracer.add_hook(lambda event: everything.append(event.kind))
+    tracer.record(30, 0, "sched_in", thread="a")
+    assert everything == ["sched_in"] and seen == ["vmenter", "sched_in"]
+    tracer.remove_hook(hook)
+    tracer.record(40, 0, "sched_out", thread="a")
+    assert everything == ["sched_in"] and seen == ["vmenter", "sched_in"]
+    # A retaining tracer builds and keeps every kind.
+    tracer.enable()
+    tracer.record(50, 0, "sched_out", thread="a")
+    assert [event.kind for event in tracer] == ["sched_out"]
+    assert seen[-1] == "sched_out"
