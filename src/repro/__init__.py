@@ -11,7 +11,7 @@ Public API tour::
     from repro.hw import SmartNIC                        # the board
     from repro.dp import deploy_dp_services              # DPDK/SPDK models
     from repro.core import TaiChi, TaiChiConfig          # the framework
-    from repro.baselines import build_deployment         # systems under test
+    from repro.scenario import build                     # systems under test
     from repro.workloads import run_ping, run_synth_cp   # Table 3 benchmarks
     from repro.experiments import run_experiment         # tables & figures
 """

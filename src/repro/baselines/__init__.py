@@ -14,6 +14,9 @@ schedules CP tasks differently:
   and the guest OS, emulation overhead on the I/O path, CP inside a guest;
 * ``naive`` — direct co-scheduling of CP tasks onto DP CPUs through the
   kernel scheduler (the Figure 4 motivation case).
+
+``DEPLOYMENTS`` is the arm registry: :func:`repro.scenario.build`
+constructs any entry by name, with its constructor's parameters as knobs.
 """
 
 from repro.baselines.deployments import (
@@ -25,7 +28,6 @@ from repro.baselines.deployments import (
     TaiChiNoHwProbeDeployment,
     TaiChiVDPDeployment,
     Type2Deployment,
-    build_deployment,
 )
 
 __all__ = [
@@ -37,5 +39,4 @@ __all__ = [
     "TaiChiNoHwProbeDeployment",
     "TaiChiVDPDeployment",
     "Type2Deployment",
-    "build_deployment",
 ]

@@ -184,6 +184,7 @@ class NaiveCoscheduleDeployment(Deployment):
         self.cp_affinity = set(self._dp_cpu_ids) | set(self.board.cp_cpu_ids)
 
 
+#: The arm registry: name -> class (built by ``repro.scenario.build``).
 DEPLOYMENTS = {
     cls.name: cls
     for cls in (
@@ -196,15 +197,3 @@ DEPLOYMENTS = {
     )
 }
 
-
-def build_deployment(name, **kwargs):
-    """Factory: construct a deployment by registry name.
-
-    Delegates to the arm registry (:mod:`repro.scenario.arms`), which
-    validates knobs against per-arm metadata — an unknown kwarg reports
-    the arm name and its accepted knob set instead of a bare TypeError.
-    Imported lazily: the registry wraps the classes defined above.
-    """
-    from repro.scenario.arms import build_arm
-
-    return build_arm(name, **kwargs)

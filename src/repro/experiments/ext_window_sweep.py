@@ -17,7 +17,7 @@ from repro.experiments.common import scaled_duration
 from repro.experiments.registry import register
 from repro.experiments.report import ExperimentResult
 from repro.hw import AcceleratorParams, BoardConfig
-from repro.scenario import arms_under_test, build, get_arm
+from repro.scenario import arm_knobs, arms_under_test, build
 from repro.sim.units import MICROSECONDS, MILLISECONDS, SECONDS
 from repro.workloads import run_ping
 from repro.workloads.background import start_cp_background
@@ -36,7 +36,7 @@ def _measure(arm, preprocess_ns, duration_ns, seed, config=None):
                                       transfer_ns=TRANSFER_NS),
     )
     kwargs = {}
-    if get_arm(arm).taichi_family and config is not None:
+    if "taichi_config" in arm_knobs(arm) and config is not None:
         kwargs["taichi_config"] = config
     deployment = build(arm, seed=seed, board_config=board_config,
                        **kwargs)

@@ -11,7 +11,7 @@ from repro.core.config import TaiChiConfig
 from repro.experiments.common import ratio, scaled_duration
 from repro.experiments.registry import register
 from repro.experiments.report import ExperimentResult
-from repro.scenario import arms_under_test, build, get_arm
+from repro.scenario import arm_knobs, arms_under_test, build
 from repro.sim.units import MICROSECONDS, MILLISECONDS, SECONDS
 from repro.workloads import run_ping
 from repro.workloads.background import start_cp_background
@@ -30,7 +30,7 @@ def run(scale=1.0, seed=0):
     rows = []
     for arm in arms:
         kwargs = {}
-        if get_arm(arm).taichi_family:
+        if "taichi_config" in arm_knobs(arm):
             kwargs["taichi_config"] = TaiChiConfig(
                 max_slice_ns=100 * MICROSECONDS)
         deployment = build(arm, seed=seed, **kwargs)

@@ -49,7 +49,6 @@ from repro.fleet.report import (
 )
 from repro.fleet.runner import FleetRunner, run_fleet
 from repro.fleet.telemetry import (
-    fleet_health_rows,
     load_fleet_telemetry,
     load_merged_series,
     merge_interval_series,
@@ -60,8 +59,6 @@ from repro.fleet.spec import (
     FleetSpec,
     NodeSpec,
     PRESETS,
-    TRAFFIC_PROFILES,
-    WorkloadMix,
     load_fleet_spec,
     uniform_spec,
 )
@@ -77,15 +74,12 @@ __all__ = [
     "Outcome",
     "PRESETS",
     "RetryPolicy",
-    "TRAFFIC_PROFILES",
-    "WorkloadMix",
     "aggregate_fleet",
     "aggregate_nodes",
     "aggregate_tenants",
     "canonical_report",
     "fleet_markdown",
     "format_fleet_text",
-    "fleet_health_rows",
     "load_fleet_spec",
     "load_fleet_telemetry",
     "load_merged_series",

@@ -4,7 +4,7 @@ A :class:`FleetSpec` describes a rack or pod of SmartNIC boards the way a
 :class:`~repro.faults.plan.FaultPlan` describes a storm: plain data that
 round-trips through JSON (``taichi-experiments fleet <spec.json>``) and
 ships with named presets (``rack``, ``pod``).  Each :class:`NodeSpec`
-picks a deployment class from :data:`repro.baselines.DEPLOYMENTS`, a
+is a node id plus a :class:`~repro.scenario.spec.Scenario`: an arm, a
 workload mix, a traffic profile, and optionally a per-node fault plan —
 so one spec can express OSMOSIS-style mixed-tenant racks (latency-sharp
 nodes next to throughput hogs next to a node riding out a probe outage).
@@ -15,17 +15,10 @@ makes results byte-identical at any ``--jobs`` level.
 """
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.fleet.durability import RetryPolicy, normalize_chaos
-
-# WorkloadMix and TRAFFIC_PROFILES moved to repro.scenario.spec with the
-# scenario layer; re-exported here because fleet callers predate it.
-from repro.scenario.spec import (  # noqa: F401
-    Scenario,
-    TRAFFIC_PROFILES,
-    WorkloadMix,
-)
+from repro.scenario.spec import Scenario, WorkloadMix
 from repro.spec_fields import (
     check_bool,
     check_fields,
@@ -34,87 +27,22 @@ from repro.spec_fields import (
     check_number,
 )
 
-#: Keys a node dict may carry: the nested form plus the flat one.
-_NODE_FIELDS = ("node_id", "scenario", "deployment", "traffic", "workload",
-                "knobs", "dp_boost", "degradation", "faults")
 
-
+@dataclass
 class NodeSpec:
-    """One SmartNIC board in the fleet: an id plus a :class:`Scenario`.
+    """One SmartNIC board in the fleet: an id plus a :class:`Scenario`."""
 
-    A thin wrapper — the arm, workload mix, traffic profile, fault plan
-    and dp_boost/degradation flags all live in the embedded scenario.
-    The historical flat keyword surface (``deployment=``, ``traffic=``,
-    ``workload=``, ``dp_boost=``, ``degradation=``, ``faults=``) still
-    constructs, and the matching read-only properties still resolve, so
-    existing specs, JSON files and callers keep working.
-    """
+    node_id: str
+    scenario: Scenario = field(default_factory=Scenario)
 
-    def __init__(self, node_id, scenario=None, *, deployment=None,
-                 traffic=None, workload=None, knobs=None, dp_boost=None,
-                 degradation=None, faults=None):
-        if not isinstance(node_id, str) or not node_id:
-            raise ValueError("node_id must be a non-empty string")
-        self.node_id = node_id
-        if scenario is not None:
-            flat = {"deployment": deployment, "traffic": traffic,
-                    "workload": workload, "knobs": knobs,
-                    "dp_boost": dp_boost, "degradation": degradation,
-                    "faults": faults}
-            clashes = sorted(key for key, value in flat.items()
-                             if value is not None)
-            if clashes:
-                raise ValueError(
-                    f"pass either scenario= or flat node fields, not both "
-                    f"(got scenario plus {clashes})")
-            if isinstance(scenario, dict):
-                scenario = Scenario.from_dict(scenario)
-            if not isinstance(scenario, Scenario):
-                raise ValueError(
-                    f"scenario must be a Scenario or its dict, got "
-                    f"{type(scenario).__name__}")
-            self.scenario = scenario
-        else:
-            self.scenario = Scenario(
-                arm=deployment if deployment is not None else "taichi",
-                traffic=traffic if traffic is not None else "bursty",
-                workload=(workload if workload is not None
-                          else WorkloadMix()),
-                knobs=knobs or {},
-                dp_boost=dp_boost or 0,
-                degradation=False if degradation is None else degradation,
-                faults=faults,
-            )
-
-    # -- Flat views into the embedded scenario ------------------------------------
-
-    @property
-    def deployment(self):
-        return self.scenario.arm
-
-    @property
-    def traffic(self):
-        return self.scenario.traffic
-
-    @property
-    def workload(self):
-        return self.scenario.workload
-
-    @property
-    def dp_boost(self):
-        return self.scenario.dp_boost
-
-    @property
-    def degradation(self):
-        return self.scenario.degradation
-
-    @property
-    def faults(self):
-        return self.scenario.faults
-
-    def fault_plan(self):
-        """Resolve the scenario's faults to a :class:`FaultPlan` (or None)."""
-        return self.scenario.fault_plan()
+    def __post_init__(self):
+        check_name("node", "node_id", self.node_id)
+        if isinstance(self.scenario, dict):
+            self.scenario = Scenario.from_dict(self.scenario)
+        if not isinstance(self.scenario, Scenario):
+            raise ValueError(
+                f"node {self.node_id!r}: scenario must be a Scenario or its "
+                f"dict, got {type(self.scenario).__name__}")
 
     def to_dict(self):
         return {"node_id": self.node_id,
@@ -122,9 +50,9 @@ class NodeSpec:
 
     @classmethod
     def from_dict(cls, data):
-        """Accept both the nested form and the historical flat form."""
         node_id = data.get("node_id") if isinstance(data, dict) else None
-        return cls(**check_fields(f"node {node_id!r}", data, _NODE_FIELDS))
+        return cls(**check_fields(f"node {node_id!r}", data,
+                                  [f.name for f in fields(cls)]))
 
     def __repr__(self):
         return f"<NodeSpec {self.node_id!r} {self.scenario!r}>"
@@ -272,12 +200,10 @@ def uniform_spec(name, deployment, n_nodes, seed=0, duration_ms=400.0,
     all-static) over the *same* node ids so both arms draw identical
     per-node seeds.
     """
-    mix = WorkloadMix(**workload)
-    nodes = [
-        NodeSpec(node_id=f"node-{index:02d}", deployment=deployment,
-                 traffic=traffic, workload=mix, dp_boost=dp_boost)
-        for index in range(n_nodes)
-    ]
+    scenario = Scenario(arm=deployment, traffic=traffic,
+                        workload=WorkloadMix(**workload), dp_boost=dp_boost)
+    nodes = [NodeSpec(f"node-{index:02d}", scenario)
+             for index in range(n_nodes)]
     return FleetSpec(name=name, nodes=nodes, seed=seed,
                      duration_ms=duration_ms, drain_ms=drain_ms,
                      dp_slo_us=dp_slo_us)
@@ -297,22 +223,20 @@ def _rack():
             dp_utilization=(0.20, 0.30, 0.45)[index % 3],
             vm_period_ms=(150.0, 100.0)[index % 2],
         )
-        nodes.append(NodeSpec(
-            node_id=f"rack-{index:02d}",
-            deployment="taichi",
+        nodes.append(NodeSpec(f"rack-{index:02d}", Scenario(
+            arm="taichi",
             traffic=profiles[index % 3],
             workload=mix,
             dp_boost=2 if index == 4 else 0,
             degradation=index == 5,
             faults="probe_outage" if index == 5 else None,
-        ))
+        )))
     for index in range(6, 8):
-        nodes.append(NodeSpec(
-            node_id=f"rack-{index:02d}",
-            deployment="static",
+        nodes.append(NodeSpec(f"rack-{index:02d}", Scenario(
+            arm="static",
             traffic=profiles[index % 3],
             workload=WorkloadMix(dp_utilization=0.30),
-        ))
+        )))
     return FleetSpec(name="rack", nodes=nodes)
 
 
@@ -329,15 +253,14 @@ def _pod():
                 vm_period_ms=90.0 + 20.0 * (slot % 3),
                 vm_batch_max=8 + 2 * (rack_index % 2),
             )
-            nodes.append(NodeSpec(
-                node_id=f"pod-{rack_index}-{slot}",
-                deployment="static" if static else "taichi",
+            nodes.append(NodeSpec(f"pod-{rack_index}-{slot}", Scenario(
+                arm="static" if static else "taichi",
                 traffic=profiles[(rack_index + slot) % 3],
                 workload=mix,
                 degradation=(not static) and slot == 5,
                 faults="probe_outage" if (not static and slot == 5
                                           and rack_index % 4 == 0) else None,
-            ))
+            )))
     return FleetSpec(name="pod", nodes=nodes)
 
 

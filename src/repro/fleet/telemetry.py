@@ -256,23 +256,6 @@ def _tenant_rows(nodes):
     return rows
 
 
-def fleet_health_rows(source):
-    """Health rows from a telemetry dir or a fleet JSON report path."""
-    if os.path.isdir(source):
-        by_node = load_fleet_telemetry(source)
-        if not by_node:
-            raise ValueError(
-                f"no *{_SUFFIX} series found in {source!r}")
-        return [_node_row_from_snapshots(node_id, snapshots)
-                for node_id, (snapshots, _) in by_node.items()]
-    with open(source) as handle:
-        report = json.load(handle)
-    nodes = report.get("nodes")
-    if not nodes:
-        raise ValueError(f"{source!r} is not a fleet report (no nodes)")
-    return [_node_row_from_summary(node) for node in nodes]
-
-
 def render_top(source):
     """The ``taichi-experiments top`` view: fleet health as a text table.
 
@@ -289,7 +272,11 @@ def render_top(source):
     coverage = None
     tenant_rows = []
     if os.path.isdir(source):
-        rows = fleet_health_rows(source)
+        by_node = load_fleet_telemetry(source)
+        if not by_node:
+            raise ValueError(f"no *{_SUFFIX} series found in {source!r}")
+        rows = [_node_row_from_snapshots(node_id, snapshots)
+                for node_id, (snapshots, _) in by_node.items()]
     else:
         with open(source) as handle:
             report = json.load(handle)

@@ -89,19 +89,6 @@ class Timeline:
             out = [event for event in out if event.cpu_id == cpu_id]
         return out
 
-    def spans(self, start_kind, end_kind, cpu_id=None):
-        """Pair start/end events into (start_ts, end_ts) spans per CPU."""
-        spans = []
-        open_starts = {}
-        for event in self.events:
-            if cpu_id is not None and event.cpu_id != cpu_id:
-                continue
-            if event.kind == start_kind:
-                open_starts[event.cpu_id] = event.ts_ns
-            elif event.kind == end_kind and event.cpu_id in open_starts:
-                spans.append((open_starts.pop(event.cpu_id), event.ts_ns))
-        return spans
-
     def summary(self):
         """Bookkeeping summary for exports and reports."""
         return {

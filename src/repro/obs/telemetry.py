@@ -46,28 +46,30 @@ from repro.metrics.sketch import (
 from repro.sim.units import MILLISECONDS
 
 
+#: Snapshots a driver's in-memory :class:`RingSeries` keeps.
+RING_CAP = 512
+
+#: Snapshot lines a driver's :class:`TelemetryJsonlWriter` writes.
+JSONL_CAP = 100_000
+
+
 @dataclass
 class TelemetryConfig:
     """Driver-facing telemetry knobs (run_soak / fleet payloads).
 
-    ``jsonl_path`` enables the JSONL series writer; ``ring_cap`` bounds
-    the in-memory series; ``alerts`` (AlertRule list or dicts) arms an
-    :class:`~repro.obs.alerts.SLOMonitor` on the bus.
+    ``jsonl_path`` enables the JSONL series writer; ``alerts`` (AlertRule
+    list or dicts) arms an :class:`~repro.obs.alerts.SLOMonitor` on the
+    bus.
     """
 
     interval_ms: float = 10.0
-    ring_cap: int = 512
     jsonl_path: str = None
-    jsonl_cap: int = 100_000
-    alpha: float = DEFAULT_ALPHA
     node_id: str = "node"
     alerts: list = None
 
     def __post_init__(self):
         if self.interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
-        if self.ring_cap <= 0 or self.jsonl_cap <= 0:
-            raise ValueError("ring_cap/jsonl_cap must be positive")
 
     @property
     def interval_ns(self):
@@ -314,7 +316,7 @@ class TelemetryBus:
 class RingSeries:
     """Bounded in-memory snapshot series (flight-recorder semantics)."""
 
-    def __init__(self, cap=512):
+    def __init__(self, cap=RING_CAP):
         self.cap = int(cap)
         self.snapshots = deque(maxlen=self.cap)
         self.total = 0
@@ -355,7 +357,7 @@ class TelemetryJsonlWriter:
     truncated capture instead of silently profiling a partial series.
     """
 
-    def __init__(self, path, cap=100_000, node_id="node"):
+    def __init__(self, path, cap=JSONL_CAP, node_id="node"):
         self.path = path
         self.cap = int(cap)
         self.node_id = node_id

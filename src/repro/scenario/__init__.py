@@ -8,23 +8,19 @@ Public surface::
     scenario = Scenario(arm="taichi", traffic="spiky")           # one cell
     summary = run_soak(scenario, seed=0)                         # soak it
 
-Experiments call :func:`build` (optionally via :func:`arms_under_test`
-to honor the CLI ``--arm`` override); the fleet runner and the soak
-experiments drive :func:`run_soak`; ``FleetSpec`` nodes embed a
-:class:`Scenario`.  New arms plug in through
-:func:`~repro.scenario.arms.register_arm` and immediately work
-everywhere.
+:func:`build` is the one deployment constructor.  Experiments call it
+(optionally via :func:`arms_under_test` to honor the CLI ``--arm``
+override); the fleet runner and the soak experiments drive
+:func:`run_soak`; ``FleetSpec`` nodes embed a :class:`Scenario`.  The
+arms are the :data:`repro.baselines.DEPLOYMENTS` classes: a new entry
+there works everywhere, with its constructor's parameters as its knobs.
 """
 
 from repro.scenario.arms import (
-    ARMS,
-    Arm,
+    arm_knobs,
     arm_names,
-    build_arm,
+    build,
     get_arm,
-    is_arm,
-    register_arm,
-    validate_knobs,
 )
 from repro.scenario.session import (
     arm_override,
@@ -40,26 +36,18 @@ from repro.scenario.spec import (
     load_scenario,
 )
 
-#: The one construction path every caller shares (alias of ``build_arm``).
-build = build_arm
-
 __all__ = [
-    "ARMS",
-    "Arm",
     "Scenario",
     "TRAFFIC_PROFILES",
     "WorkloadMix",
+    "arm_knobs",
     "arm_names",
     "arm_override",
     "arms_under_test",
     "build",
-    "build_arm",
     "current_arms",
     "get_arm",
-    "is_arm",
     "load_scenario",
     "parse_arm_list",
-    "register_arm",
     "run_soak",
-    "validate_knobs",
 ]

@@ -36,7 +36,6 @@ draws from ``tenant-<id>-{dp,cp,probe,storms}`` and ``device-mgmt-<id>``.
 from repro.hw.host import HostNode, VMSpec
 from repro.hw.packet import IORequest, PacketKind
 from repro.metrics import LatencyRecorder, QuantileSketch
-from repro.metrics.sketch import DEFAULT_ALPHA
 from repro.metrics.stats import attainment_pct, summarize
 from repro.sim.units import MICROSECONDS, MILLISECONDS
 
@@ -69,17 +68,16 @@ class _SloBook:
     percentiles.  The pool is the whole-board tenant's book.
     """
 
-    def __init__(self, name, slo_us, channel, alpha):
+    def __init__(self, name, slo_us, channel):
         self.latency = LatencyRecorder(name=name, cap=_SAMPLE_CAP)
         self.slo_us = slo_us
-        self.alpha = alpha
         self.within = 0
         # With a telemetry bus the channel's cumulative sketch *is* the
         # summary sketch, so it accumulates identically with the bus on
         # or off.
         self.channel = channel
         self.sketch = channel.cumulative if channel is not None \
-            else QuantileSketch(alpha)
+            else QuantileSketch()
 
     def record(self, latency_ns):
         self.latency.record(latency_ns)
@@ -123,7 +121,7 @@ class _SloBook:
             # Rebuilt from the *sorted* samples so its float ``sum`` is
             # independent of VM completion order (and of whether a
             # telemetry bus also streamed the same values).
-            "startup_sketch": QuantileSketch(self.alpha).extend(
+            "startup_sketch": QuantileSketch().extend(
                 startups_ms).to_dict(),
             "vms_started": len(startups_ms),
             "vms_requested": len(vms),
@@ -276,7 +274,6 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
         from repro.obs.telemetry import TelemetryConfig
 
         telemetry = TelemetryConfig(node_id=label)
-    alpha = telemetry.alpha if telemetry else DEFAULT_ALPHA
     bus = None
     ring = None
     monitor = None
@@ -290,7 +287,7 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
         node_id = telemetry.node_id if telemetry.node_id != "node" else label
         bus = TelemetryBus(registry=env.metrics,
                            interval_ns=telemetry.interval_ns,
-                           node_id=node_id, alpha=alpha)
+                           node_id=node_id)
         rules = scenario.alerts if scenario.alerts is not None \
             else telemetry.alerts
         if rules is not None:
@@ -299,11 +296,10 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
             monitor = bus.subscribe(SLOMonitor(
                 rules=rules, tracer=env.tracer, node_id=node_id,
                 exemplar_provider=env.spans if spans else None))
-        ring = bus.subscribe(RingSeries(cap=telemetry.ring_cap))
+        ring = bus.subscribe(RingSeries())
         if telemetry.jsonl_path:
             jsonl_writer = bus.subscribe(TelemetryJsonlWriter(
-                telemetry.jsonl_path, cap=telemetry.jsonl_cap,
-                node_id=node_id))
+                telemetry.jsonl_path, node_id=node_id))
 
     def channel(name):
         return bus.channel(name) if bus is not None else None
@@ -311,11 +307,11 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
     # The pooled book scores every probe; a declared tenant also keeps
     # its own book (the whole-board tenant's book *is* the pooled one).
     pooled = _SloBook(f"{label}-probe", dp_slo_us,
-                      channel("dp_rx_wait_us"), alpha)
+                      channel("dp_rx_wait_us"))
     for load in loads:
         load.book = pooled if load.runtime is None else _SloBook(
             f"{label}-probe-{load.tenant_id}", load.dp_slo_us,
-            channel(f"tenant.{load.tenant_id}.dp_rx_wait_us"), alpha)
+            channel(f"tenant.{load.tenant_id}.dp_rx_wait_us"))
 
     def latency_probe(load):
         book = load.book

@@ -8,20 +8,21 @@ Like :class:`~repro.faults.plan.FaultPlan` and ``FleetSpec`` it is plain
 data with a JSON round-trip, so a scenario can live in a file, ship in a
 fleet spec, or be built inline by an experiment.
 
-Construction (:meth:`Scenario.build`) flows through the arm registry
-(:mod:`repro.scenario.arms`); the full production-soak simulation shape
-lives in :mod:`repro.scenario.soak` and is shared by the fleet runner
-and the soak experiments.
+Construction (:meth:`Scenario.build`) flows through
+:func:`repro.scenario.arms.build`; the full production-soak simulation
+shape lives in :mod:`repro.scenario.soak` and is shared by the fleet
+runner and the soak experiments.
 """
 
 import json
 from dataclasses import dataclass, field, fields
 
+from repro.baselines import TaiChiDeployment
 from repro.faults.plan import FaultPlan, PRESETS as FAULT_PRESETS
 from repro.scenario.arms import (
+    TAICHI_POST_KNOBS,
     arm_names,
-    get_arm,
-    is_arm,
+    build,
     knob_to_jsonable,
     validate_knobs,
 )
@@ -101,15 +102,14 @@ class WorkloadMix:
 class Scenario:
     """One declarative system-under-test + workload configuration.
 
-    ``arm`` is a registry name (or alias, e.g. ``baseline``); ``knobs``
-    are arm construction knobs validated against the registry at spec
-    time.  ``dp_boost``/``degradation`` require a Tai Chi-family arm.
+    ``arm`` is a ``DEPLOYMENTS`` name (or alias, e.g. ``baseline``);
+    ``knobs`` are the arm's constructor knobs, validated at spec time.
+    ``dp_boost``/``degradation`` require a Tai Chi-family arm.
     ``faults`` is a preset name, a FaultPlan dict, or a
     :class:`FaultPlan`; drivers scale it alongside their duration.
-    ``check_invariants``/``trace`` are observability defaults a driver
-    may honor when the caller doesn't override them.  ``alerts`` is a
-    list of :class:`~repro.obs.alerts.AlertRule` dicts (SLO rules as
-    data) that arm an SLO monitor on the soak driver's telemetry bus.
+    ``alerts`` is a list of :class:`~repro.obs.alerts.AlertRule` dicts
+    (SLO rules as data) that arm an SLO monitor on the soak driver's
+    telemetry bus.
     """
 
     arm: str = "taichi"
@@ -119,14 +119,12 @@ class Scenario:
     dp_boost: int = 0
     degradation: bool = False
     faults: object = None
-    check_invariants: bool = False
-    trace: bool = False
     alerts: list = None
     tenants: list = None
     tenant_isolation: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.arm, str) or not is_arm(self.arm):
+        if self.arm not in arm_names():
             raise ValueError(
                 f"arm: unknown deployment class {self.arm!r}; "
                 f"choose from {arm_names()}")
@@ -139,14 +137,18 @@ class Scenario:
         if not isinstance(self.knobs, dict):
             raise ValueError(
                 f"knobs must be a dict, got {type(self.knobs).__name__}")
-        validate_knobs(self.arm, self.knobs)
+        fields_in_knobs = sorted(TAICHI_POST_KNOBS & set(self.knobs))
+        if fields_in_knobs:
+            raise ValueError(
+                f"scenario: knobs {fields_in_knobs} are Scenario fields; "
+                f"set them there, not in knobs")
+        cls = validate_knobs(self.arm, self.knobs)
         self.dp_boost = check_int("scenario", "dp_boost", self.dp_boost)
-        for name in ("degradation", "check_invariants", "trace",
-                     "tenant_isolation"):
+        for name in ("degradation", "tenant_isolation"):
             check_bool("scenario", name, getattr(self, name))
         if self.dp_boost < 0:
             raise ValueError("dp_boost must be >= 0")
-        taichi_family = get_arm(self.arm).taichi_family
+        taichi_family = issubclass(cls, TaiChiDeployment)
         if self.dp_boost and not taichi_family:
             raise ValueError(
                 f"dp_boost requires a Tai Chi deployment class, "
@@ -195,14 +197,12 @@ class Scenario:
     # -- Construction -------------------------------------------------------------
 
     def build(self, seed=0, fault_scale=1.0):
-        """Construct this scenario's deployment via the arm registry.
+        """Construct this scenario's deployment with :func:`build`.
 
         When the scenario carries faults the deployment is built inside
         an ``active_fault_plan`` scope so it arms an injector; otherwise
         any externally active plan (``run --faults``) stays in effect.
         """
-        from repro.scenario.arms import build_arm
-
         knobs = dict(self.knobs)
         if self.dp_boost:
             knobs["dp_boost"] = self.dp_boost
@@ -210,11 +210,11 @@ class Scenario:
             knobs["degradation"] = True
         plan = self.fault_plan(fault_scale)
         if plan is None:
-            return build_arm(self.arm, seed=seed, **knobs)
+            return build(self.arm, seed=seed, **knobs)
         from repro.faults.session import active_fault_plan
 
         with active_fault_plan(plan):
-            return build_arm(self.arm, seed=seed, **knobs)
+            return build(self.arm, seed=seed, **knobs)
 
     # -- JSON round-trip ----------------------------------------------------------
 
@@ -234,10 +234,6 @@ class Scenario:
         if self.faults is not None:
             data["faults"] = (self.faults if isinstance(self.faults, str)
                               else self.faults.to_dict())
-        if self.check_invariants:
-            data["check_invariants"] = True
-        if self.trace:
-            data["trace"] = True
         if self.alerts is not None:
             data["alerts"] = [rule.to_dict() for rule in self.alerts]
         if self.tenants is not None:
@@ -272,7 +268,7 @@ def load_scenario(spec):
         return spec
     if isinstance(spec, dict):
         return Scenario.from_dict(spec)
-    if is_arm(spec):
+    if spec in arm_names():
         return Scenario(arm=spec)
     if isinstance(spec, str) and spec.endswith(".json"):
         return Scenario.from_json(spec)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines import (
     DEPLOYMENTS,
-    build_deployment,
     NaiveCoscheduleDeployment,
     StaticPartitionDeployment,
     TaiChiDeployment,
@@ -12,6 +11,7 @@ from repro.baselines import (
     TaiChiVDPDeployment,
     Type2Deployment,
 )
+from repro.scenario import build
 from repro.sim import MILLISECONDS
 
 
@@ -23,8 +23,8 @@ def test_registry_contains_all_systems():
 
 
 def test_build_unknown_name_rejected():
-    with pytest.raises(ValueError):
-        build_deployment("does-not-exist")
+    with pytest.raises(ValueError, match="unknown arm 'does-not-exist'"):
+        build("does-not-exist")
 
 
 def test_static_partition_shape():

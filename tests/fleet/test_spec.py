@@ -7,48 +7,64 @@ from repro.fleet import (
     FleetSpec,
     NodeSpec,
     PRESETS,
-    WorkloadMix,
     load_fleet_spec,
     uniform_spec,
 )
+from repro.scenario import Scenario, WorkloadMix
+
+
+def nested(**scenario):
+    """A node from its nested JSON form."""
+    return NodeSpec.from_dict({"node_id": "n0", "scenario": scenario})
 
 
 def test_nodespec_defaults():
     node = NodeSpec(node_id="n0")
-    assert node.deployment == "taichi"
-    assert node.traffic == "bursty"
-    assert isinstance(node.workload, WorkloadMix)
-    assert node.fault_plan() is None
+    assert node.scenario == Scenario()
+    assert node.scenario.arm == "taichi"
+    assert node.scenario.traffic == "bursty"
+    assert isinstance(node.scenario.workload, WorkloadMix)
+    assert node.scenario.fault_plan() is None
+    assert node.to_dict() == {"node_id": "n0",
+                              "scenario": Scenario().to_dict()}
 
 
 def test_nodespec_rejects_unknown_deployment():
     with pytest.raises(ValueError, match="unknown deployment class"):
-        NodeSpec(node_id="n0", deployment="bogus")
+        nested(arm="bogus")
 
 
 def test_nodespec_rejects_unknown_traffic():
     with pytest.raises(ValueError, match="unknown traffic profile"):
-        NodeSpec(node_id="n0", traffic="tsunami")
+        nested(traffic="tsunami")
 
 
 def test_nodespec_rejects_unknown_fault_preset():
     with pytest.raises(ValueError, match="unknown fault preset"):
-        NodeSpec(node_id="n0", faults="bogus_storm")
+        nested(faults="bogus_storm")
+
+
+def test_nodespec_rejects_the_flat_form():
+    flat = {"node_id": "n", "deployment": "static"}
+    with pytest.raises(ValueError, match=r"node 'n': unknown keys "
+                       r"\['deployment'\]; accepted fields: "
+                       r"\['node_id', 'scenario'\]"):
+        NodeSpec.from_dict(flat)
+    with pytest.raises(ValueError, match="scenario must be a Scenario"):
+        NodeSpec("n", "static")
 
 
 def test_nodespec_boost_and_degradation_need_taichi():
     with pytest.raises(ValueError, match="dp_boost requires"):
-        NodeSpec(node_id="n0", deployment="static", dp_boost=2)
+        nested(arm="static", dp_boost=2)
     with pytest.raises(ValueError, match="degradation requires"):
-        NodeSpec(node_id="n0", deployment="static", degradation=True)
+        nested(arm="static", degradation=True)
     # Fine on any Tai Chi-family class.
-    NodeSpec(node_id="n0", deployment="taichi-vdp", dp_boost=1,
-             degradation=True)
+    nested(arm="taichi-vdp", dp_boost=1, degradation=True)
 
 
 def test_nodespec_fault_preset_resolves():
-    node = NodeSpec(node_id="n0", faults="probe_outage")
-    plan = node.fault_plan()
+    plan = nested(faults="probe_outage").scenario.fault_plan()
     assert isinstance(plan, FaultPlan)
     assert plan.faults
 
@@ -67,11 +83,11 @@ def test_fleet_rejects_empty():
 def test_presets_shapes():
     rack = FleetSpec.preset("rack")
     assert len(rack) == 8
-    classes = {node.deployment for node in rack.nodes}
+    classes = {node.scenario.arm for node in rack.nodes}
     assert classes == {"taichi", "static"}
     pod = FleetSpec.preset("pod")
     assert len(pod) == 64
-    assert sum(node.deployment == "static" for node in pod.nodes) == 16
+    assert sum(node.scenario.arm == "static" for node in pod.nodes) == 16
 
 
 def test_preset_unknown():

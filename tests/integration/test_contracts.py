@@ -33,9 +33,9 @@ from repro.faults.plan import PRESETS as FAULT_PRESETS, FaultPlan
 from repro.fleet import FleetRunner, FleetSpec, NodeSpec, canonical_report
 from repro.obs import observe
 from repro.obs.invariants import DEFAULT_CHECKERS
-from repro.scenario import Scenario, run_soak
-from repro.scenario.arms import arm_names, get_arm
-from repro.scenario.spec import TRAFFIC_PROFILES
+from repro.scenario import (
+    TRAFFIC_PROFILES, Scenario, arm_knobs, arm_names, run_soak,
+)
 from repro.sim.units import MILLISECONDS
 
 ARMS = arm_names()
@@ -79,7 +79,7 @@ rules = st.fixed_dictionaries(
 @st.composite
 def scenarios(draw):
     arm = draw(st.sampled_from(ARMS))
-    family = get_arm(arm).taichi_family
+    family = "dp_boost" in arm_knobs(arm)
     faults = draw(st.none() | st.sampled_from(sorted(FAULT_PRESETS)))
     if faults and draw(st.booleans()):
         faults = FaultPlan.preset(faults).to_dict()        # the inline form
@@ -91,7 +91,6 @@ def scenarios(draw):
         workload=draw(workloads),
         dp_boost=draw(st.integers(0, 2)) if family else 0,
         degradation=family and draw(st.booleans()), faults=faults,
-        check_invariants=draw(st.booleans()), trace=draw(st.booleans()),
         alerts=alerts or None,
         tenants=[draw(tenants(index)) for index in range(n_tenants)] or None,
         tenant_isolation=draw(st.booleans()))
@@ -139,8 +138,7 @@ DEGRADED_FLEET = FleetSpec(name="degraded", nodes=[
 #: unknown key, and workload numbers, counts and the mix itself are typed.
 EVERY_FIELD = FleetSpec(
     name="every-field", nodes=[NodeSpec("n0", replace(
-        FOUR_TENANTS, dp_boost=1, check_invariants=True, trace=True,
-        tenant_isolation=False, faults=FaultPlan.preset("storm").to_dict(),
+        FOUR_TENANTS, dp_boost=1, tenant_isolation=False, faults=FaultPlan.preset("storm").to_dict(),
         alerts=[{"name": "probe", "signal": "probe_health", "threshold": 1.0,
                  "op": "lt", "hold": 1, "clear_hold": 3,
                  "severity": "critical", "min_count": 2}]))],
@@ -327,8 +325,7 @@ def test_killed_cli_fleet_resumes_to_the_uninterrupted_bytes(tmp_path):
 
 #: Defaults of optional fields: ``to_dict`` writes a field iff it differs.
 SPARSE = {Scenario: {"knobs": {}, "dp_boost": 0, "degradation": False,
-                     "faults": None, "check_invariants": False,
-                     "trace": False, "alerts": None, "tenants": None},
+                     "faults": None, "alerts": None, "tenants": None},
           FleetSpec: {"telemetry_interval_ms": 10.0, "spans": False,
                       "retry": None, "chaos": None}}
 

@@ -42,7 +42,7 @@ SOAKS = {
     # layer.
     "fault-storm": (dict(arm="taichi", faults="storm", degradation=True), 1),
     # cp_to_dp after warmup: a fresh DP service joins mid-run.
-    "dp-boost": (dict(arm="taichi", knobs={"dp_boost": 1}), 1),
+    "dp-boost": (dict(arm="taichi", dp_boost=1), 1),
     "two-tenants-bursty": (dict(arm="taichi", tenants=TENANTS), 1),
 }
 

@@ -42,16 +42,6 @@ def test_summary_reports_drops_and_mode():
                                   "mode": "ring"}
 
 
-def test_spans_pairing():
-    timeline = Timeline()
-    timeline.record(10, 0, "start")
-    timeline.record(25, 0, "end")
-    timeline.record(30, 1, "start")
-    timeline.record(40, 1, "end")
-    assert timeline.spans("start", "end") == [(10, 25), (30, 40)]
-    assert timeline.spans("start", "end", cpu_id=1) == [(30, 40)]
-
-
 def test_event_str():
     timeline = Timeline()
     timeline.record(10, 0, "kind", detail_a=1)

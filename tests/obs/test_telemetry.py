@@ -127,8 +127,6 @@ def test_snapshot_dict_round_trip():
 def test_config_validation():
     with pytest.raises(ValueError, match="interval_ms"):
         TelemetryConfig(interval_ms=0)
-    with pytest.raises(ValueError, match="ring_cap"):
-        TelemetryConfig(ring_cap=0)
     with pytest.raises(ValueError, match="interval_ns"):
         TelemetryBus(interval_ns=0)
 

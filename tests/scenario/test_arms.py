@@ -1,57 +1,83 @@
 """The arm registry: every arm builds, knobs validate, errors help."""
 
+import os
+import re
+
 import pytest
 
-from repro.baselines import DEPLOYMENTS, build_deployment
+from repro.baselines import DEPLOYMENTS
 from repro.core import TaiChiConfig
-from repro.scenario import ARMS, arm_names, build, build_arm, get_arm, is_arm
+from repro.scenario import arm_knobs, arm_names, build, get_arm
+
+_DOCS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..",
+                     "docs", "scenarios.md")
+
+#: Constructor knobs every deployment accepts (``Deployment.__init__``).
+COMMON_KNOBS = {"board_config", "dp_kind", "dp_params", "dp_cpu_ids"}
+
+
+def _documented_arms():
+    """``{name: (class name, knobs)}`` from the docs' arm table."""
+    with open(_DOCS) as handle:
+        rows = [line.strip().strip("|").split("|") for line in handle
+                if line.startswith("| `")]
+    arms = {}
+    for names, cls, extra, post in rows:
+        knobs = COMMON_KNOBS | set(re.findall(r"`(\w+)`", extra))
+        if post.strip() == "yes":
+            knobs |= {"dp_boost", "degradation"}
+        for name in re.findall(r"`([\w-]+)`", names):
+            arms[name] = (re.search(r"`(\w+)`", cls).group(1), knobs)
+    return arms
 
 
 def test_every_registered_arm_builds_with_defaults():
-    for name, arm in ARMS.items():
-        deployment = build_arm(name)
-        assert isinstance(deployment, arm.cls), name
+    for name, cls in DEPLOYMENTS.items():
+        deployment = build(name)
+        assert isinstance(deployment, cls), name
         assert deployment.services, name
 
 
 def test_registry_covers_all_deployment_classes():
-    assert {arm.cls for arm in ARMS.values()} == set(DEPLOYMENTS.values())
+    for name, cls in DEPLOYMENTS.items():
+        assert get_arm(name) is cls
+        assert cls.name == name
+
+
+def test_knob_sets_match_the_documented_table():
+    documented = _documented_arms()
+    assert sorted(documented) == arm_names()
+    for name, (cls_name, knobs) in documented.items():
+        assert get_arm(name).__name__ == cls_name, name
+        assert arm_knobs(name) == knobs, name
 
 
 def test_baseline_alias_resolves_to_static():
     assert get_arm("baseline") is get_arm("static")
-    assert is_arm("baseline")
+    assert "baseline" in arm_names()
     deployment = build("baseline")
     assert isinstance(deployment, DEPLOYMENTS["static"])
 
 
 def test_arm_names_include_aliases():
-    names = arm_names()
-    assert "baseline" in names
-    assert "static" in names
-    assert arm_names(include_aliases=False) == sorted(ARMS)
+    assert arm_names() == sorted(set(DEPLOYMENTS) | {"baseline"})
 
 
 def test_unknown_arm_lists_choices():
     with pytest.raises(ValueError, match="unknown arm 'warp'") as exc:
-        build_arm("warp")
+        build("warp")
     assert "taichi" in str(exc.value)
 
 
 def test_unknown_knob_reports_arm_and_accepted_set():
     with pytest.raises(ValueError, match="arm 'static' does not accept") as exc:
-        build_arm("static", taichi_config=TaiChiConfig())
+        build("static", taichi_config=TaiChiConfig())
     message = str(exc.value)
     assert "taichi_config" in message
     assert "accepted knobs" in message
     assert "dp_kind" in message
-
-
-def test_build_deployment_goes_through_the_registry():
-    deployment = build_deployment("taichi")
-    assert isinstance(deployment, DEPLOYMENTS["taichi"])
-    with pytest.raises(ValueError, match="does not accept knob"):
-        build_deployment("naive", guest_tax=0.5)
+    with pytest.raises(ValueError, match=r"arm 'naive' .*\['guest_tax'\]"):
+        build("naive", guest_tax=0.5)
 
 
 def test_dp_boost_repartitions_after_warmup():

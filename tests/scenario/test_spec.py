@@ -55,6 +55,19 @@ def test_unknown_knob_rejected_at_spec_time():
         Scenario.from_dict(retired)
 
 
+def test_fields_outside_the_spec_shape_are_named():
+    for data, message in (
+            ({"trace": True}, r"unknown keys \['trace'\]"),
+            ({"check_invariants": True},
+             r"unknown keys \['check_invariants'\]"),
+            ({"knobs": {"dp_boost": 1}},
+             r"knobs \['dp_boost'\] are Scenario fields"),
+            ({"knobs": {"degradation": True}},
+             r"knobs \['degradation'\] are Scenario fields")):
+        with pytest.raises(ValueError, match=message):
+            Scenario.from_dict(data)
+
+
 def test_workload_dict_is_coerced():
     scenario = Scenario(workload={"dp_utilization": 0.5})
     assert isinstance(scenario.workload, WorkloadMix)
