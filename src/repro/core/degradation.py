@@ -98,7 +98,7 @@ class DegradationManager:
 
     def _handled(self, cpu_id, mechanism, **detail):
         tracer = self.kernel.tracer
-        if tracer.enabled:
+        if "fault.handled" in tracer.reads:
             tracer.record(self.env.now, cpu_id, "fault.handled",
                           mechanism=mechanism, **detail)
 

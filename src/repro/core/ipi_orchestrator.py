@@ -111,7 +111,7 @@ class UnifiedIPIOrchestrator:
 
     def _trace_route(self, src_cpu, dst_cpu, vector, decision, source_exit):
         tracer = self.kernel.tracer
-        if tracer.enabled:
+        if "ipi_route" in tracer.reads:
             tracer.record(self.kernel.env.now,
                           getattr(src_cpu, "cpu_id", "-"), "ipi_route",
                           dst=dst_cpu.cpu_id, vector=vector.value,

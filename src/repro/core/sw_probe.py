@@ -65,7 +65,8 @@ class SoftwareWorkloadProbe:
         # Unit tests drive this with bare fake schedulers; only trace when
         # wired to a real kernel.
         kernel = getattr(self.scheduler, "kernel", None)
-        if updated != current and kernel is not None and kernel.tracer.enabled:
+        if (updated != current and kernel is not None
+                and "threshold_adapt" in kernel.tracer.reads):
             kernel.tracer.record(self.scheduler.env.now, service.cpu_id,
                                  "threshold_adapt", service=service.name,
                                  old=current, new=updated,

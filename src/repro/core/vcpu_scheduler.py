@@ -323,7 +323,7 @@ class VCPUScheduler:
 
         self.slices_run += 1
         tracer = self.kernel.tracer
-        if tracer.enabled:
+        if "vmenter" in tracer.reads:
             tracer.record(self.env.now, pcpu.cpu_id, "vmenter",
                           vcpu=vcpu.cpu_id, slice_ns=slice_ns)
         yield from pcpu.consume(costs.vmenter_ns)
@@ -356,7 +356,7 @@ class VCPUScheduler:
         )
         if premature:
             self.premature_exits += 1
-        if tracer.enabled:
+        if "vmexit" in tracer.reads:
             tracer.record(self.env.now, pcpu.cpu_id, "vmexit",
                           vcpu=vcpu.cpu_id, reason=reason.value,
                           enter_cost_ns=costs.vmenter_ns,
@@ -389,7 +389,7 @@ class VCPUScheduler:
             # pCPU round-robin — whatever ended the slice.
             self.lock_safe_migrations += 1
             tracer = self.kernel.tracer
-            if tracer.enabled:
+            if "lock_safe_migrate" in tracer.reads:
                 tracer.record(self.env.now, pcpu.cpu_id, "lock_safe_migrate",
                               vcpu=vcpu.cpu_id, reason=reason.value)
             target = self._find_idle_dp_cpu(exclude=pcpu.cpu_id, vcpu=vcpu)
@@ -434,7 +434,7 @@ class VCPUScheduler:
         updated = self._slice_ns[vcpu]
         if updated != current:
             tracer = self.kernel.tracer
-            if tracer.enabled:
+            if "slice_adapt" in tracer.reads:
                 tracer.record(self.env.now, vcpu.cpu_id, "slice_adapt",
                               old_ns=current, new_ns=updated,
                               reason=reason.value)

@@ -180,6 +180,7 @@ class DPService:
 
     def _loop(self):
         params = self.params
+        env = self.env
         while not self._shutdown:
             if self._pending_stall_ns:
                 stall_ns, self._pending_stall_ns = self._pending_stall_ns, 0
@@ -189,12 +190,11 @@ class DPService:
             batch = self._collect_batch()
             if batch:
                 self.is_idle_blocked = False
-                spans = self.env.spans
+                spans = env.spans
                 for request in batch:
-                    request.t_dp_start = self.env.now
+                    now = request.t_dp_start = env.now
                     if request.t_rx_ready is not None:
-                        self._recent_waits.append(
-                            self.env.now - request.t_rx_ready)
+                        self._recent_waits.append(now - request.t_rx_ready)
                     if spans.enabled and request.span_id is not None:
                         spans.end_dp(request, self.cpu_id)
                     cost = self._packet_cost(request)
@@ -239,7 +239,7 @@ class DPService:
             self.idle_notifications += 1
             self._m_idle_yields.inc()
             tracer = self.env.tracer
-            if tracer.enabled:
+            if "dp_idle_yield" in tracer.reads:
                 tracer.record(self.env.now, self.cpu_id, "dp_idle_yield",
                               service=self.name, threshold=threshold)
             self.is_idle_blocked = True
@@ -302,25 +302,17 @@ class DPService:
     # -- Completion paths --------------------------------------------------------------
 
     def _finish_packet(self, request):
-        env = self.env
-        if request.kind is PacketKind.NET_TX:
-            self.board.nic_port.transfer(
-                request.size_bytes,
-                on_delivered=lambda: request.complete(env.now),
-            )
-        elif request.kind is PacketKind.NET_RX:
-            self.board.pcie.transfer(
-                request.size_bytes,
-                on_delivered=lambda: request.complete(env.now),
-            )
-        elif request.kind is PacketKind.STORAGE_SUBMIT:
+        kind = request.kind
+        if kind is PacketKind.NET_TX:
+            self.board.nic_port.transfer(request.size_bytes,
+                                         on_delivered=request.deliver)
+        elif kind is PacketKind.NET_RX:
+            self.board.pcie.transfer(request.size_bytes,
+                                     on_delivered=request.deliver)
+        elif kind is PacketKind.STORAGE_SUBMIT:
             self._start_device_io(request)
-        elif request.kind is PacketKind.STORAGE_COMPLETE:
-            original = request.payload
-            self.board.pcie.transfer(
-                64,
-                on_delivered=lambda: original.complete(env.now),
-            )
+        elif kind is PacketKind.STORAGE_COMPLETE:
+            self.board.pcie.transfer(64, on_delivered=request.payload.deliver)
         else:
             raise ValueError(f"unhandled packet kind {request.kind!r}")
 

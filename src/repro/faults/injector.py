@@ -253,7 +253,7 @@ class FaultInjector:
 
     def _record(self, kind, cpu_id, **detail):
         tracer = self.kernel.tracer
-        if tracer.enabled:
+        if kind in tracer.reads:
             tracer.record(self.env.now, cpu_id, kind, **detail)
 
     def stats(self):

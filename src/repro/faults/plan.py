@@ -13,10 +13,15 @@ period by one factor so the same storm fits a CI-scale run.
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.sim.units import MICROSECONDS, MILLISECONDS, SECONDS
-from repro.spec_fields import check_fields, check_int, check_name
+from repro.spec_fields import (
+    check_fields,
+    check_int,
+    check_name,
+    check_spec_fields,
+)
 
 #: Recognized fault kinds and the parameters each understands.
 FAULT_KINDS = {
@@ -108,11 +113,11 @@ class FaultPlan:
             raise ValueError(
                 f"fault plan {self.name!r}: faults must be a list, got "
                 f"{type(self.faults).__name__}")
-        accepted = [f.name for f in fields(FaultSpec)]
         self.faults = [
             spec if isinstance(spec, FaultSpec) else FaultSpec(
-                **check_fields(f"fault plan {self.name!r} fault #{index}",
-                               spec, accepted))
+                **check_spec_fields(
+                    f"fault plan {self.name!r} fault #{index}", spec,
+                    FaultSpec))
             for index, spec in enumerate(self.faults)
         ]
 

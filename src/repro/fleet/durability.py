@@ -46,9 +46,14 @@ import json
 import os
 import re
 import traceback
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
-from repro.spec_fields import check_fields, check_int, check_number
+from repro.spec_fields import (
+    check_fields,
+    check_int,
+    check_number,
+    check_spec_fields,
+)
 
 #: Failure kinds a node outcome can carry.
 FAILURE_KINDS = ("exception", "crash", "timeout")
@@ -146,8 +151,7 @@ class RetryPolicy:
         if isinstance(value, cls):
             return value
         if isinstance(value, dict):
-            return cls(**check_fields("retry", value,
-                                      [f.name for f in fields(cls)]))
+            return cls(**check_spec_fields("retry", value, cls))
         raise ValueError(
             f"retry must be a RetryPolicy or its dict, got "
             f"{type(value).__name__}")

@@ -15,16 +15,16 @@ makes results byte-identical at any ``--jobs`` level.
 """
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from repro.fleet.durability import RetryPolicy, normalize_chaos
 from repro.scenario.spec import Scenario, WorkloadMix
 from repro.spec_fields import (
     check_bool,
-    check_fields,
     check_int,
     check_name,
     check_number,
+    check_spec_fields,
 )
 
 
@@ -51,8 +51,8 @@ class NodeSpec:
     @classmethod
     def from_dict(cls, data):
         node_id = data.get("node_id") if isinstance(data, dict) else None
-        return cls(**check_fields(f"node {node_id!r}", data,
-                                  [f.name for f in fields(cls)]))
+        owner = "node" if node_id is None else f"node {node_id!r}"
+        return cls(**check_spec_fields(owner, data, cls))
 
     def __repr__(self):
         return f"<NodeSpec {self.node_id!r} {self.scenario!r}>"
@@ -166,8 +166,7 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**check_fields("fleet", data,
-                                  [f.name for f in fields(cls)]))
+        return cls(**check_spec_fields("fleet", data, cls))
 
     @classmethod
     def from_json(cls, path):

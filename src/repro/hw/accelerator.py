@@ -12,6 +12,7 @@ creates the 3.2 us window that hides vCPU switch latency.
 from dataclasses import dataclass
 from heapq import heapreplace
 
+from repro.sim.events import Timeout
 from repro.sim.units import MICROSECONDS
 
 
@@ -39,7 +40,6 @@ class Accelerator:
         self._engines = [(0, engine) for engine in range(self.params.pipelines)]
         self._inflight = {}           # queue_id -> packets inside the pipeline
         self.packets_processed = 0
-        self.stage_samples = []       # (preprocess_ns, transfer_ns) pairs
         # Fault injection: no preprocessing engine may start before this
         # horizon (a wedged pipeline); already-started work is unaffected.
         self.stall_until_ns = 0
@@ -65,12 +65,15 @@ class Accelerator:
 
     def submit(self, request):
         """Accept a request from the driver side (stage 1 of Figure 6)."""
-        if request.queue_id not in self._queues:
-            raise KeyError(f"unknown queue {request.queue_id!r}")
-        store, dst_cpu_id = self._queues[request.queue_id]
-        now = self.env.now
-        request.t_submit = now if request.t_submit is None else request.t_submit
-        spans = self.env.spans
+        queue_id = request.queue_id
+        if queue_id not in self._queues:
+            raise KeyError(f"unknown queue {queue_id!r}")
+        store, dst_cpu_id = self._queues[queue_id]
+        env = self.env
+        now = env.now
+        if request.t_submit is None:
+            request.t_submit = now
+        spans = env.spans
         if spans.enabled and request.span_id is None:
             spans.begin_dp(request, dst_cpu_id)
 
@@ -79,33 +82,35 @@ class Accelerator:
             self.probe.on_packet(dst_cpu_id)
 
         # Claim the earliest-free pipeline engine.
+        params = self.params
         free_at, engine = self._engines[0]
         start = max(now, free_at, self.stall_until_ns)
-        heapreplace(self._engines, (start + self.params.preprocess_ns, engine))
+        heapreplace(self._engines, (start + params.preprocess_ns, engine))
         request.t_accel_start = start
-        ready_at = start + self.params.preprocess_ns + self.params.transfer_ns
+        ready_at = start + params.preprocess_ns + params.transfer_ns
 
-        self._inflight[request.queue_id] = (
-            self._inflight.get(request.queue_id, 0) + 1
-        )
+        inflight = self._inflight
+        inflight[queue_id] = inflight.get(queue_id, 0) + 1
 
-        def _deposit(_event):
-            self._inflight[request.queue_id] -= 1
-            request.t_rx_ready = self.env.now
-            store.put(request)
-            # The probe re-inspects at queue-write time: a vCPU that entered
-            # during preprocessing would otherwise strand this packet for a
-            # whole time slice.
-            if self.probe is not None:
-                self.probe.on_packet(dst_cpu_id)
-
-        self.env.timeout(ready_at - now).callbacks.append(_deposit)
+        # The deposit carries its destination as the timeout's value: the
+        # store and CPU are the ones the queue had at submit time, even if
+        # the queue is retargeted while the packet is in the pipeline.
+        Timeout(env, ready_at - now,
+                (request, store, dst_cpu_id)).callbacks.append(self._deposit)
         self.packets_processed += 1
-        if len(self.stage_samples) < 10_000:
-            self.stage_samples.append(
-                (self.params.preprocess_ns, self.params.transfer_ns)
-            )
         return ready_at
+
+    def _deposit(self, event):
+        """Write a preprocessed packet into its rx queue (stage 3 ends)."""
+        request, store, dst_cpu_id = event._value
+        self._inflight[request.queue_id] -= 1
+        request.t_rx_ready = event.env.now
+        store.put(request)
+        # The probe re-inspects at queue-write time: a vCPU that entered
+        # during preprocessing would otherwise strand this packet for a
+        # whole time slice.
+        if self.probe is not None:
+            self.probe.on_packet(dst_cpu_id)
 
     def queue_inflight(self, queue_id):
         """Packets currently inside the preprocessing pipeline for a queue.

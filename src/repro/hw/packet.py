@@ -78,6 +78,14 @@ class IORequest:
         if self.done is not None and not self.done.triggered:
             self.done.succeed(self)
 
+    def deliver(self, event):
+        """:meth:`complete` at ``event``'s time: the ``on_delivered``
+        callback of the link transfer that finishes this request."""
+        self.t_done = event.env.now
+        done = self.done
+        if done is not None and not done.triggered:
+            done.succeed(self)
+
     def __repr__(self):
         return (
             f"<IORequest #{self.packet_id} {self.kind.value} q={self.queue_id} "

@@ -1,12 +1,15 @@
 """Latency + bandwidth links: PCIe lanes and the physical NIC port."""
 
+from repro.sim.events import Timeout
+
 
 class Link:
     """A serializing link with propagation latency.
 
     Transfers occupy the link back-to-back (``size / bandwidth``) and then
     propagate for ``latency_ns``.  ``transfer`` returns the delivery time;
-    the caller schedules whatever happens at the far end.
+    the caller schedules whatever happens at the far end, or passes an
+    ``on_delivered(event)`` callback that the delivery timeout runs.
     """
 
     def __init__(self, env, name, bandwidth_gbps, latency_ns, jitter_rng=None,
@@ -23,14 +26,11 @@ class Link:
         self.transfers = 0
         self.bytes_moved = 0
 
-    def serialization_ns(self, size_bytes):
-        return int(size_bytes * 8 / self.bandwidth_gbps)
-
     def transfer(self, size_bytes, on_delivered=None):
         """Schedule a transfer; returns the absolute delivery time (ns)."""
         now = self.env.now
         start = max(now, self._next_free_ns)
-        ser = self.serialization_ns(size_bytes)
+        ser = int(size_bytes * 8 / self.bandwidth_gbps)
         self._next_free_ns = start + ser
         jitter = 0
         if self._jitter_rng is not None and self.jitter_ns > 0:
@@ -39,10 +39,7 @@ class Link:
         self.transfers += 1
         self.bytes_moved += size_bytes
         if on_delivered is not None:
-            def _fire(_event):
-                on_delivered()
-
-            self.env.timeout(deliver_at - now).callbacks.append(_fire)
+            Timeout(self.env, deliver_at - now).callbacks.append(on_delivered)
         return deliver_at
 
     def utilization(self, window_ns):

@@ -83,7 +83,7 @@ class HardwareWorkloadProbe:
     def _fire(self, dst_cpu_id, spurious=False):
         self.irqs_fired += 1
         tracer = self.env.tracer
-        if tracer.enabled:
+        if "hwprobe_irq" in tracer.reads:
             tracer.record(self.env.now, dst_cpu_id, "hwprobe_irq",
                           latency_ns=self.irq_latency_ns, spurious=spurious)
         handler = self._irq_handler

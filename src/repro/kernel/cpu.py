@@ -391,7 +391,7 @@ class CPU:
                     continue
                 wakeup = Event(env)
                 self._idle_wakeup = wakeup
-                start = env._now
+                start = env.now
                 self._interrupt_ok = True
                 try:
                     yield wakeup
@@ -399,7 +399,7 @@ class CPU:
                 except Interrupt as interrupt:
                     yield from self._await_rest(wakeup, interrupt)
                 self._idle_wakeup = None
-                self.idle_ns += env._now - start
+                self.idle_ns += env.now - start
                 continue
 
             # Dispatch: run ``thread`` until it blocks, exits, or is
@@ -413,7 +413,7 @@ class CPU:
             thread.cpu = self
             switch_ns = int(params.context_switch_ns)
             if switch_ns > 0:
-                start = env._now
+                start = env.now
                 self._interrupt_ok = True
                 try:
                     yield Timeout(env, switch_ns)
@@ -423,12 +423,12 @@ class CPU:
                     yield from self._interrupted(interrupt, start, switch_ns,
                                                  False)
 
-            now = env._now
+            now = env.now
             self.state = CpuState.RUNNING
             thread.state = ThreadState.RUNNING
             thread.last_cpu = cpu_id
             tracer = kernel.tracer
-            if tracer.enabled:
+            if "sched_in" in tracer.reads:
                 tracer.record(now, cpu_id, "sched_in",
                               thread=thread.name, rq=len(runqueue))
             if thread.wait_since_ns is not None:
@@ -477,11 +477,11 @@ class CPU:
                     consumed = remaining
                     slice_end = self._slice_end
                     if (preempt_ok and slice_end is not None
-                            and env._now + remaining > slice_end):
+                            and env.now + remaining > slice_end):
                         # The slice may end first: let _advance decide.
                         consumed = yield from self._advance(remaining, True)
                     elif remaining > 0:
-                        start = env._now
+                        start = env.now
                         self._interrupt_ok = True
                         try:
                             yield Timeout(env, remaining)
@@ -504,7 +504,7 @@ class CPU:
                             (instruction.entry_ns + instruction.body_ns
                              + instruction.exit_ns) * self.work_tax)
                     self.preempt_depth += 1
-                    start = env._now
+                    start = env.now
                     if remaining > 0:
                         self._interrupt_ok = True
                         try:
@@ -515,7 +515,7 @@ class CPU:
                             yield from self._interrupted(
                                 interrupt, start, remaining, False)
                     self.preempt_depth -= 1
-                    elapsed = env._now - start
+                    elapsed = env.now - start
                     self.nonpreemptible_ns += elapsed
                     kernel.record_nonpreemptible(elapsed)
                     thread.current_instruction = None
@@ -544,13 +544,14 @@ class CPU:
                         and self._should_preempt()):
                     outcome = _PREEMPTED
 
-            now = env._now
+            now = env.now
             ran_ns = now - stint_start
             runqueue.charge(thread, ran_ns)
-            if tracer.enabled:
+            if "sched_out" in tracer.reads:
                 tracer.record(now, cpu_id, "sched_out",
                               thread=thread.name, outcome=outcome,
                               ran_ns=ran_ns)
+            if "rq_depth" in tracer.reads:
                 tracer.record(now, cpu_id, "rq_depth",
                               depth=len(runqueue))
             self.current = None

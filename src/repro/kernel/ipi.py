@@ -80,7 +80,7 @@ class IPIController:
             if routed:
                 self.hooked_count += 1
         tracer = self.kernel.tracer
-        if tracer.enabled:
+        if "ipi_send" in tracer.reads:
             src_id = getattr(src_cpu, "cpu_id", "-")
             tracer.record(self.kernel.env.now, src_id, "ipi_send",
                           dst=dst_cpu.cpu_id, vector=vector.value,
@@ -111,7 +111,7 @@ class IPIController:
                 if action == "drop":
                     self.dropped_fault += 1
                     self._m_dropped.inc()
-                    if tracer.enabled:
+                    if "fault.ipi_drop" in tracer.reads:
                         tracer.record(env.now, dst_cpu.cpu_id,
                                       "fault.ipi_drop", dst=dst_cpu.cpu_id,
                                       vector=vector.value)
@@ -122,7 +122,7 @@ class IPIController:
                 if action == "delay":
                     extra = int(verdict[1])
                     self.delayed_fault += 1
-                    if tracer.enabled:
+                    if "fault.ipi_delay" in tracer.reads:
                         tracer.record(env.now, dst_cpu.cpu_id,
                                       "fault.ipi_delay", dst=dst_cpu.cpu_id,
                                       vector=vector.value, extra_ns=extra)
@@ -136,12 +136,12 @@ class IPIController:
                 # would run code on a CPU the kernel believes is down.
                 self.dropped_offline += 1
                 self._m_dropped.inc()
-                if tracer.enabled:
+                if "ipi.dropped" in tracer.reads:
                     tracer.record(env.now, dst_cpu.cpu_id, "ipi.dropped",
                                   vector=vector.value, reason="offline")
                 return
             self.delivered_count += 1
-            if tracer.enabled:
+            if "ipi_deliver" in tracer.reads:
                 tracer.record(env.now, dst_cpu.cpu_id, "ipi_deliver",
                               vector=vector.value)
             self._invoke(dst_cpu, vector, payload)

@@ -101,7 +101,7 @@ class Kernel:
         return cpu.request_offline()
 
     def on_cpu_online(self, cpu):
-        if self.tracer.enabled:
+        if "cpu_online" in self.tracer.reads:
             self.tracer.record(self.env.now, cpu.cpu_id, "cpu_online")
 
     def on_cpu_offline(self, cpu):
@@ -113,7 +113,7 @@ class Kernel:
         TAICHI_VCPU dispatch raised just before the offline would strand
         its reserved vCPU forever.
         """
-        if self.tracer.enabled:
+        if "cpu_offline" in self.tracer.reads:
             self.tracer.record(self.env.now, cpu.cpu_id, "cpu_offline")
         for thread in list(cpu.runqueue.threads()):
             if cpu.runqueue.dequeue(thread):
@@ -157,11 +157,13 @@ class Kernel:
                 f"for {thread!r}"
             )
         cpu.enqueue(thread)
-        if self.tracer.enabled:
-            self.tracer.record(self.env.now, cpu.cpu_id, "enqueue",
-                               thread=thread.name)
-            self.tracer.record(self.env.now, cpu.cpu_id, "rq_depth",
-                               depth=len(cpu.runqueue))
+        tracer = self.tracer
+        if "enqueue" in tracer.reads:
+            tracer.record(self.env.now, cpu.cpu_id, "enqueue",
+                          thread=thread.name)
+        if "rq_depth" in tracer.reads:
+            tracer.record(self.env.now, cpu.cpu_id, "rq_depth",
+                          depth=len(cpu.runqueue))
 
     def select_cpu(self, thread, preferred=None):
         """Wake placement: preferred CPU if idle-ish, else least loaded.
@@ -298,7 +300,7 @@ class Kernel:
         self.threads.pop(thread.tid, None)
         if thread.done is not None and not thread.done.triggered:
             thread.done.succeed(thread.exit_value)
-        if self.tracer.enabled:
+        if "thread_exit" in self.tracer.reads:
             self.tracer.record(self.env.now, "-", "thread_exit", thread=thread.name)
 
     # -- Kernel objects ------------------------------------------------------------

@@ -43,7 +43,7 @@ class SoftirqSubsystem:
         self._pending.setdefault(cpu.cpu_id, deque()).append((vector, payload))
         self.raised_count += 1
         tracer = self.kernel.tracer
-        if tracer.enabled:
+        if "softirq_raise" in tracer.reads:
             tracer.record(self.kernel.env.now, cpu.cpu_id, "softirq_raise",
                           vector=vector.value)
         cpu.kick()
@@ -71,7 +71,7 @@ class SoftirqSubsystem:
             if handler is None:
                 continue
             self.executed_count += 1
-            if tracer.enabled:
+            if "softirq_run" in tracer.reads:
                 tracer.record(self.kernel.env.now, cpu.cpu_id, "softirq_run",
                               vector=vector.value)
             result = handler(cpu, payload)

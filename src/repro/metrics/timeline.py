@@ -48,12 +48,29 @@ class TimelineEvent:
                 f"kind={self.kind!r}, detail={self.detail!r})")
 
 
+class _EveryKind:
+    """The ``reads`` of a sink that keeps events of every kind."""
+
+    __slots__ = ()
+
+    def __contains__(self, kind):
+        return True
+
+    def __repr__(self):
+        return "EVERY_KIND"
+
+
+EVERY_KIND = _EveryKind()
+
+
 class Timeline:
     """A bounded log of :class:`TimelineEvent` records."""
 
-    # Plain timelines are always-on; Tracer overrides this with a gate so
-    # instrumentation sites can use a uniform ``tracer.enabled`` check.
+    # Plain timelines are always-on and keep every kind; Tracer overrides
+    # both with gates so instrumentation sites can use a uniform
+    # ``kind in tracer.reads`` check.
     enabled = True
+    reads = EVERY_KIND
 
     def __init__(self, cap=100_000):
         self.cap = cap

@@ -15,9 +15,14 @@ trace event (board-level, cpu ``"-"``), which the invariant suite checks
 for correct pairing (:class:`~repro.obs.invariants.AlertPairingChecker`).
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from repro.spec_fields import check_fields, check_int, check_name, check_number
+from repro.spec_fields import (
+    check_int,
+    check_name,
+    check_number,
+    check_spec_fields,
+)
 
 #: Comparison operators a rule may use; ``gt`` means "alert when the
 #: signal is greater than the threshold".
@@ -109,8 +114,7 @@ class AlertRule:
         if isinstance(data, cls):
             return data
         name = data.get("name") if isinstance(data, dict) else None
-        return cls(**check_fields(f"alert rule {name!r}", data,
-                                  [f.name for f in fields(cls)]))
+        return cls(**check_spec_fields(f"alert rule {name!r}", data, cls))
 
 
 def normalize_alert_rules(rules):

@@ -36,8 +36,12 @@ reader (the tracer does not retain and no other hook, such as an inline
 invariant checker, was attached when spans were enabled), nobody reads
 the ``span.begin``/``span.end`` events, so they are not recorded, and a
 root strictly shorter than everything its full reservoir keeps is closed
-without attribution: it could never become an exemplar.  A capture (a
-retaining tracer) or a checker gets every event and every decomposition.
+without attribution: it could never become an exemplar.  DP roots are
+then lazy as well: a packet's root is a sequence number, a begin time
+and a CPU until it closes, and a :class:`Span` is built only for a root
+that can enter the reservoir, with the id, window and CPU an eager root
+would have had, so exemplars are identical.  A capture (a retaining
+tracer) or a checker gets every event and every decomposition.
 """
 
 from collections import deque
@@ -186,6 +190,8 @@ class SpanTracker:
         self._tree = {}            # request_id -> [closed child Span]
         self._span_seq = {}        # request_id -> next child ordinal
         self._request_seq = 0      # auto request-id counter (dp packets)
+        # Lazy DP roots, in begin order: seq -> (t_begin, cpu).
+        self._lazy_dp = {}
         self._vm_state = {}        # request_id -> phase bookkeeping
         # Set at enable() when no other hook reads the tracer: span events
         # and the attribution of roots that cannot become exemplars then
@@ -301,9 +307,13 @@ class SpanTracker:
         return self._sole_reader and not tracer.retain
 
     def _retention_floor(self):
-        if not self._open:
-            return self.env.now
-        return min(span.t_begin for span in self._open.values())
+        floor = self.env.now
+        if self._open:
+            floor = min(span.t_begin for span in self._open.values())
+        if self._lazy_dp:
+            # Begin order is time order: the first lazy root is the oldest.
+            floor = min(floor, next(iter(self._lazy_dp.values()))[0])
+        return floor
 
     # -- Span emission -------------------------------------------------------------
 
@@ -389,24 +399,36 @@ class SpanTracker:
         reservoir.offer(record)
         return record
 
-    def _passed_over(self, span):
-        """Close root ``span`` now without attribution if nobody else reads
-        the stream and its full reservoir keeps only strictly longer roots
-        (so it could never enter, whatever its id): the bookkeeping of
-        :meth:`end_root` without its event or record.  Returns whether
-        it did."""
+    def _cannot_enter(self, channel, t_begin):
+        """True if nobody else reads the stream and ``channel``'s full
+        reservoir keeps only roots strictly longer than one begun at
+        ``t_begin`` and closing now, so it could never enter, whatever
+        its id."""
         if not self._unread(self.env.tracer):
             return False
-        reservoir = self.reservoirs.get(span.channel)
-        if (reservoir is None or len(reservoir) < reservoir.k
-                or self.env.now - span.t_begin
-                >= reservoir.records[-1]["duration_ns"]):
+        reservoir = self.reservoirs.get(channel)
+        return (reservoir is not None
+                and len(reservoir.records) >= reservoir.k
+                and self.env.now - t_begin
+                < reservoir.records[-1]["duration_ns"])
+
+    def _pass_over(self, channel):
+        """Count a root closed without attribution as completed and
+        offered, as :meth:`end_root` would have."""
+        self.roots_completed += 1
+        self.reservoirs[channel].offered += 1
+
+    def _passed_over(self, span):
+        """Close root ``span`` now without attribution if it
+        :meth:`_cannot_enter` its reservoir: the bookkeeping of
+        :meth:`end_root` without its event or record.  Returns whether
+        it did."""
+        if not self._cannot_enter(span.channel, span.t_begin):
             return False
         del self._open[span.span_id]
         self._tree.pop(span.request_id, None)
         self._span_seq.pop(span.request_id, None)
-        self.roots_completed += 1
-        reservoir.offered += 1
+        self._pass_over(span.channel)
         return True
 
     # -- Window attribution --------------------------------------------------------
@@ -461,17 +483,39 @@ class SpanTracker:
     # -- DP packet channel ---------------------------------------------------------
 
     def begin_dp(self, request, dst_cpu_id):
-        """Open a DP request root (accelerator submit time)."""
-        request.span_id = self.begin("dp_request", channel="dp",
-                                     cpu_id=dst_cpu_id)
+        """Open a DP request root (accelerator submit time).
+
+        While the stream is unread the root is lazy: ``request.span_id``
+        holds its sequence number, and no :class:`Span` or event is made
+        until :meth:`end_dp` finds it can enter the reservoir."""
+        if self._unread(self.env.tracer):
+            self._request_seq += 1
+            seq = self._request_seq
+            self._lazy_dp[seq] = (self.env.now, dst_cpu_id)
+            request.span_id = seq
+        else:
+            request.span_id = self.begin("dp_request", channel="dp",
+                                         cpu_id=dst_cpu_id)
 
     def end_dp(self, request, cpu_id):
         """Close a DP root at poll pickup with the full decomposition,
-        unless it is :meth:`_passed_over`."""
-        span = self._open.get(request.span_id)
-        if span is None or self._passed_over(span):
-            request.span_id = None
-            return None
+        unless it cannot enter the reservoir (:meth:`_cannot_enter`)."""
+        key, request.span_id = request.span_id, None
+        lazy = self._lazy_dp.pop(key, None)
+        if lazy is not None:
+            t_begin, dst_cpu_id = lazy
+            if self._cannot_enter("dp", t_begin):
+                self._pass_over("dp")
+                return None
+            # The span an eager begin_dp would have opened.
+            request_id = f"pkt-{key}"
+            span = Span(f"{request_id}#0", request_id, None, "dp_request",
+                        "dp", dst_cpu_id, t_begin)
+            self._open[span.span_id] = span
+        else:
+            span = self._open.get(key)
+            if span is None or self._passed_over(span):
+                return None
         now = self.env.now
         parts = []
         accel_start = request.t_accel_start
@@ -485,9 +529,7 @@ class SpanTracker:
                           min(rx_ready, now)])
         wait_from = max(span.t_begin, rx_ready or span.t_begin)
         parts.extend(self.attribute(cpu_id, wait_from, now, "sched_delay"))
-        record = self.end_root(request.span_id, parts)
-        request.span_id = None
-        return record
+        return self.end_root(span.span_id, parts)
 
     # -- VM-startup channel --------------------------------------------------------
 
@@ -603,11 +645,12 @@ class SpanTracker:
         return reservoir.worst_ids() if reservoir is not None else []
 
     def open_spans(self):
-        return len(self._open)
+        """Open spans, lazy DP roots included."""
+        return len(self._open) + len(self._lazy_dp)
 
     def __repr__(self):
         state = "on" if self.enabled else "off"
-        return (f"<SpanTracker {state} open={len(self._open)} "
+        return (f"<SpanTracker {state} open={self.open_spans()} "
                 f"completed={self.roots_completed}>")
 
 

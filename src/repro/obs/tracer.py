@@ -4,9 +4,10 @@ Every :class:`~repro.sim.environment.Environment` owns exactly one
 :class:`Tracer` (``env.tracer``); all subsystems — kernel executors,
 IPI controller, softirq subsystem, the vCPU scheduler, the workload
 probes, DP services — emit their events through it.  The tracer starts
-*disabled*: instrumentation sites guard emission with a single attribute
-check (``if tracer.enabled:``), so an untraced run pays one branch per
-potential event and allocates nothing.
+*disabled*.  Every instrumentation site guards emission with a
+precomputed per-kind gate, ``if "sched_in" in tracer.reads:``, so an
+untraced run pays one attribute load and one set lookup per potential
+event and allocates nothing.
 
 Delivering events and keeping them are separate: hooks (inline invariant
 checkers, the span tracker) see every event of an enabled tracer, but
@@ -14,7 +15,12 @@ only a tracer someone asked to trace (``observe(trace=True)`` or an
 explicit :meth:`Tracer.enable`) *retains* them in its ring.  A tracer
 enabled by :meth:`Tracer.add_hook` alone builds each event for its hooks
 and stores nothing; when every hook declared the kinds it reads, it
-builds only events of those kinds.
+builds only events of those kinds.  ``reads`` is that answer, kept
+current by :meth:`~Tracer.enable`, :meth:`~Tracer.disable`,
+:meth:`~Tracer.add_hook` and :meth:`~Tracer.remove_hook`: empty while
+disabled, every kind while retaining or while some hook declared no
+kinds, else the union of the hooks' kinds.  A site whose kind is not in
+it builds no keyword arguments and makes no call.
 
 Event taxonomy (``docs/observability.md`` has the full reference):
 
@@ -42,16 +48,20 @@ kind                 meaning
 ===================  =======================================================
 """
 
-from repro.metrics.timeline import Timeline, TimelineEvent
+from repro.metrics.timeline import EVERY_KIND, Timeline, TimelineEvent
+
+_NO_KIND = frozenset()
 
 
 class Tracer(Timeline):
     """A :class:`~repro.metrics.timeline.Timeline` with an enable gate.
 
     ``enabled`` gates emission; ``retain`` says whether emitted events
-    are stored.  A retaining tracer keeps the newest ``cap`` events, so
-    long runs behave like a flight recorder rather than capturing only
-    the boot transient.
+    are stored; ``reads`` holds the kinds that would be built (see the
+    module docstring).  Change them through the methods, never by
+    assignment, so ``reads`` stays current.  A retaining tracer keeps
+    the newest ``cap`` events, so long runs behave like a flight
+    recorder rather than capturing only the boot transient.
     """
 
     def __init__(self, cap=1_000_000, enabled=False):
@@ -66,14 +76,17 @@ class Tracer(Timeline):
         self._hook_kinds = []  # per hook, the kinds it reads (None = all)
         # The kinds any hook reads, or None when some hook reads them all.
         self._kinds = None
+        self._update_reads()
 
     def enable(self):
         self.enabled = True
         self.retain = True
+        self._update_reads()
         return self
 
     def disable(self):
         self.enabled = False
+        self._update_reads()
         return self
 
     def add_hook(self, hook, kinds=None):
@@ -87,8 +100,8 @@ class Tracer(Timeline):
         """
         self.hooks.append(hook)
         self._hook_kinds.append(None if kinds is None else frozenset(kinds))
-        self._update_kinds()
         self.enabled = True
+        self._update_kinds()
         return hook
 
     def remove_hook(self, hook):
@@ -102,6 +115,15 @@ class Tracer(Timeline):
         declared = self._hook_kinds
         self._kinds = (None if None in declared
                        else frozenset().union(*declared))
+        self._update_reads()
+
+    def _update_reads(self):
+        if not self.enabled:
+            self.reads = _NO_KIND
+        elif self.retain or self._kinds is None:
+            self.reads = EVERY_KIND
+        else:
+            self.reads = self._kinds
 
     def record(self, ts_ns, cpu_id, kind, **detail):
         if not self.enabled:

@@ -15,7 +15,7 @@ runner and the soak experiments.
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.baselines import TaiChiDeployment
 from repro.faults.plan import FaultPlan, PRESETS as FAULT_PRESETS
@@ -26,7 +26,12 @@ from repro.scenario.arms import (
     knob_to_jsonable,
     validate_knobs,
 )
-from repro.spec_fields import check_bool, check_fields, check_int, check_number
+from repro.spec_fields import (
+    check_bool,
+    check_int,
+    check_number,
+    check_spec_fields,
+)
 
 #: Traffic profile name -> burstiness knob of the DP background generator
 #: (duty-cycle peak-to-mean; see ``start_dp_background``).
@@ -94,8 +99,7 @@ class WorkloadMix:
             raise ValueError(
                 f"workload must be a WorkloadMix or its dict, got "
                 f"{type(value).__name__}")
-        return cls(**check_fields("workload", value,
-                                  [f.name for f in fields(cls)]))
+        return cls(**check_spec_fields("workload", value, cls))
 
 
 @dataclass
@@ -244,8 +248,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**check_fields("scenario", data,
-                                  [f.name for f in fields(cls)]))
+        return cls(**check_spec_fields("scenario", data, cls))
 
     def to_json(self, path):
         with open(path, "w") as handle:

@@ -16,8 +16,10 @@ from repro.sim.process import Process
 class Environment:
     """Owns the simulated clock and executes events in timestamp order.
 
-    The clock is an integer count of nanoseconds since simulation start.
-    Pending events live in a binary heap of ``(time, priority, eid,
+    The clock, ``now``, is an integer count of nanoseconds since
+    simulation start.  It is a plain attribute, so reading it costs no
+    call (the packet path reads it several times per packet), and only
+    :meth:`run` writes it: nothing else may assign it.  Pending events live in a binary heap of ``(time, priority, eid,
     event)`` tuples, where ``eid`` is a monotonically increasing
     insertion counter: events scheduled for the same instant are ordered
     by priority, then by insertion order, making runs fully deterministic.
@@ -33,7 +35,7 @@ class Environment:
     """
 
     def __init__(self, initial_time=0):
-        self._now = int(initial_time)
+        self.now = int(initial_time)
         self._queue = []
         self._eid = count()
         self._active_process = None
@@ -61,11 +63,6 @@ class Environment:
             self.spans.enable()
 
     @property
-    def now(self):
-        """Current simulated time in nanoseconds."""
-        return self._now
-
-    @property
     def active_process(self):
         """The process currently being resumed, if any."""
         return self._active_process
@@ -73,7 +70,7 @@ class Environment:
     def schedule(self, event, priority=PRIORITY_NORMAL, delay=0):
         """Queue ``event`` to be processed after ``delay`` nanoseconds."""
         queue = self._queue
-        heappush(queue, (self._now + int(delay), priority, next(self._eid),
+        heappush(queue, (self.now + int(delay), priority, next(self._eid),
                          event))
         if len(queue) > self._heap_peak:
             self._heap_peak = len(queue)
@@ -97,9 +94,9 @@ class Environment:
                 stop.callbacks.append(_stop_callback)
             else:
                 at = int(until)
-                if at < self._now:
-                    raise ValueError(f"until={at} is in the past (now={self._now})")
-                stop = Timeout(self, at - self._now)
+                if at < self.now:
+                    raise ValueError(f"until={at} is in the past (now={self.now})")
+                stop = Timeout(self, at - self.now)
                 stop.callbacks.append(_stop_callback)
 
         # The event loop is inlined, with local bindings — on soak
@@ -111,7 +108,7 @@ class Environment:
         try:
             while queue:
                 when, _, _, event = pop(queue)
-                self._now = when
+                self.now = when
                 processed += 1
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
@@ -157,7 +154,7 @@ class Environment:
 
     def profile(self):
         """DES self-profiling gauges (the ``sim.engine`` metrics source)."""
-        sim_s = self._now / 1e9
+        sim_s = self.now / 1e9
         wall = self._wall_s
         processed = self._events_processed
         skipped = self._events_skipped
@@ -169,7 +166,7 @@ class Environment:
             if processed + skipped else 0.0,
             "heap_peak": self._heap_peak,
             "heap_pending": len(self._queue),
-            "sim_time_ns": self._now,
+            "sim_time_ns": self.now,
             "wall_time_s": round(wall, 6),
             "events_per_wall_s": round(processed / wall, 1) if wall > 0 else 0.0,
             "wall_s_per_sim_s": round(wall / sim_s, 6) if sim_s > 0 else 0.0,
@@ -198,7 +195,7 @@ class Environment:
         return AnyOf(self, events)
 
     def __repr__(self):
-        return f"<Environment now={self._now} pending={len(self._queue)}>"
+        return f"<Environment now={self.now} pending={len(self._queue)}>"
 
 
 def _stop_callback(event):

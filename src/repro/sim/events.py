@@ -68,7 +68,13 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        # Environment.schedule(self) inlined: every put, wake and
+        # completion succeeds an event.
+        env = self.env
+        queue = env._queue
+        heappush(queue, (env.now, PRIORITY_NORMAL, next(env._eid), self))
+        if len(queue) > env._heap_peak:
+            env._heap_peak = len(queue)
         return self
 
     def fail(self, exception):
@@ -134,7 +140,7 @@ class Timeout(Event):
         self._defused = False
         self._delay = delay = int(delay)
         queue = env._queue
-        heappush(queue, (env._now + delay, PRIORITY_NORMAL, next(env._eid),
+        heappush(queue, (env.now + delay, PRIORITY_NORMAL, next(env._eid),
                          self))
         if len(queue) > env._heap_peak:
             env._heap_peak = len(queue)

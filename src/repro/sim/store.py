@@ -2,7 +2,7 @@
 
 from collections import deque
 
-from repro.sim.events import Event
+from repro.sim.events import Event, _PENDING
 
 
 class StorePut(Event):
@@ -11,7 +11,12 @@ class StorePut(Event):
     __slots__ = ("item",)
 
     def __init__(self, store, item):
-        super().__init__(store.env)
+        # Event.__init__ inlined: every packet deposit makes one.
+        self.env = store.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
         self.item = item
 
 
@@ -64,8 +69,22 @@ class Store:
     def put(self, item):
         """Queue ``item``; returns an event that fires once accepted."""
         event = StorePut(self, item)
-        self._putters.append(event)
-        self._dispatch()
+        items = self.items
+        if (self._putters or self._getters or (
+                self.capacity is not None and len(items) >= self.capacity)):
+            self._putters.append(event)
+            self._dispatch()
+            return event
+        # Fast path, the common case on packet queues: nobody waits and
+        # there is room, so the item is accepted at once.  Same order as
+        # ``_dispatch``: the put succeeds, then the consumer's bell rings.
+        items.append(item)
+        event.succeed()
+        consumer = self.consumer
+        if consumer is not None:
+            bell = consumer._bell
+            if bell is not None and bell._value is _PENDING:
+                bell.succeed(len(items))
         return event
 
     def get(self):

@@ -12,6 +12,7 @@ Every message starts with ``owner``, the spec's label (``scenario``,
 in a fleet spec that carries hundreds of them.
 """
 
+from dataclasses import MISSING, fields
 from math import isfinite
 from numbers import Integral, Real
 
@@ -30,6 +31,22 @@ def check_fields(owner, data, accepted):
         raise ValueError(
             f"{owner}: unknown keys {unknown}; accepted fields: "
             f"{sorted(accepted)}")
+    return data
+
+
+def check_spec_fields(owner, data, cls):
+    """Return ``data`` if it is a dict that can build dataclass ``cls``.
+
+    :func:`check_fields` over ``cls``'s fields, and a ``ValueError``
+    naming each field that ``cls`` has no default for and ``data`` lacks.
+    """
+    spec_fields = fields(cls)
+    check_fields(owner, data, [f.name for f in spec_fields])
+    missing = [f.name for f in spec_fields
+               if f.name not in data and f.default is MISSING
+               and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{owner}: missing required fields {missing}")
     return data
 
 

@@ -202,7 +202,7 @@ class TenancyManager:
                            else (r.normalized_usage_ns(), r.index)))
         if runtime is not None:
             tracer = self.deployment.kernel.tracer
-            if tracer.enabled:
+            if "tenant.pick" in tracer.reads:
                 backlogged = {
                     other.tenant_id: int(other.normalized_usage_ns())
                     for other in heads
@@ -225,7 +225,7 @@ class TenancyManager:
         runtime.granted_ns += slice_ns
         runtime.grants += 1
         tracer = self.deployment.kernel.tracer
-        if tracer.enabled:
+        if "tenant.grant" in tracer.reads:
             tracer.record(self.env.now, cpu_id, "tenant.grant",
                           tenant=runtime.tenant_id, ns=slice_ns,
                           tenant_total_ns=runtime.granted_ns,

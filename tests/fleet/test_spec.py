@@ -54,6 +54,21 @@ def test_nodespec_rejects_the_flat_form():
         NodeSpec("n", "static")
 
 
+def test_missing_required_fields_are_named():
+    with pytest.raises(ValueError, match=r"^node: missing required fields "
+                       r"\['node_id'\]$"):
+        NodeSpec.from_dict({"scenario": {}})
+    with pytest.raises(ValueError, match=r"^fleet: missing required fields "
+                       r"\['name', 'nodes'\]$"):
+        FleetSpec.from_dict({})
+    with pytest.raises(ValueError, match=r"^fleet: missing required fields "
+                       r"\['nodes'\]$"):
+        FleetSpec.from_dict({"name": "f", "seed": 3})
+    with pytest.raises(ValueError, match=r"fault #0: missing required "
+                       r"fields \['kind', 'at_ns'\]$"):
+        FaultPlan.from_dict({"faults": [{"duration_ns": 5}]})
+
+
 def test_nodespec_boost_and_degradation_need_taichi():
     with pytest.raises(ValueError, match="dp_boost requires"):
         nested(arm="static", dp_boost=2)

@@ -131,3 +131,36 @@ def test_engine_heap_matches_linear_scan(pipelines, submits):
         assert (claimed[1], req.t_accel_start) == (engine, start)
     assert sorted(accel._engines) == sorted(
         (free, engine) for engine, free in enumerate(free_ns))
+
+
+class _RecordingProbe:
+    """Stands in for the hardware probe: records each inspected CPU."""
+
+    def __init__(self):
+        self.inspected = []
+
+    def on_packet(self, dst_cpu_id):
+        self.inspected.append(dst_cpu_id)
+
+
+def test_deposit_uses_the_queue_target_captured_at_submit():
+    # A queue retargeted (or re-attached to a new store) while a packet is
+    # in the pipeline: the packet still lands in the store, and the probe
+    # re-inspects the CPU, that the queue had when it was submitted.
+    env = Environment()
+    probe = _RecordingProbe()
+    accel = Accelerator(env, probe=probe)
+    old, new = Store(env), Store(env)
+    accel.attach_queue("q0", old, dst_cpu_id=3)
+    first = request()
+    accel.submit(first)
+    accel.retarget_queue("q0", 5)
+    env.run(until=accel.window_ns // 2)
+    accel.attach_queue("q0", new, dst_cpu_id=7)
+    second = request()
+    accel.submit(second)
+    env.run()
+    assert list(old.items) == [first] and list(new.items) == [second]
+    assert probe.inspected == [3, 7, 3, 7]
+    assert first.t_rx_ready == accel.window_ns
+    assert accel.queue_owner("q0") == 7 and accel.queue_inflight("q0") == 0

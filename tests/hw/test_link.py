@@ -26,7 +26,7 @@ def test_delivery_callback_fires_at_delivery_time():
     env = Environment()
     link = Link(env, "l", bandwidth_gbps=8.0, latency_ns=500)
     seen = []
-    link.transfer(1000, on_delivered=lambda: seen.append(env.now))
+    link.transfer(1000, on_delivered=lambda event: seen.append(event.env.now))
     env.run()
     assert seen == [1500]
 

@@ -12,6 +12,11 @@ moved.  This test reports that failure by name, in the tier-1 suite,
 before the benchmark does.  A change meant to alter event counts must
 update these pins and re-pin the benchmark in the same change.
 
+The packet-path case is a closed-loop ``tcp_rr`` run the way ``fig14``
+runs it: each packet goes through ``Accelerator.submit``, the deposit
+into its rx ``Store`` and the delivery ``Link.transfer``, so host-side
+rewrites of those primitives are held to the same events.
+
 The tenant soak runs with isolation on, so its CP threads are pinned to
 their tenants' CPUs; it also holds newidle stealing to an exact cost.
 """
@@ -22,8 +27,10 @@ import pytest
 
 from repro.fleet import FleetSpec, run_fleet
 from repro.kernel import Kernel, RunQueue
-from repro.scenario import Scenario, run_soak
+from repro.scenario import Scenario, build, run_soak
 from repro.sim.units import MILLISECONDS
+from repro.workloads import run_tcp_rr
+from repro.workloads.background import start_cp_background
 from tests.tenancy.test_tenancy_soak import TENANTS
 
 #: ``(events_processed, events_skipped)`` for a 40+10 ms taichi soak.
@@ -35,6 +42,11 @@ FLEET_EVENTS = {
     "rack-00": (32_528, 129_644),
     "rack-01": (36_350, 107_211),
 }
+
+#: ``(events_processed, events_skipped, packets)`` for a 3 ms, 128-client
+#: ``tcp_rr`` run on the ``taichi`` arm at seed 0, after fig14's
+#: background and warmup.
+PACKET_PATH_EVENTS = (92_461, 512, 18_508)
 
 #: ``(events_processed, events_skipped, kernel.steals)`` for a 30+15 ms
 #: isolation-on soak of ``TENANTS`` at seed 11.
@@ -57,6 +69,17 @@ def test_rack_fleet_event_counts_are_pinned():
                                 node["metrics"]["engine_events_skipped"])
               for node in report["nodes"]}
     assert counts == FLEET_EVENTS
+
+
+def test_packet_path_event_counts_are_pinned():
+    deployment = build("taichi", seed=0)
+    start_cp_background(deployment, n_monitors=4, rolling_tasks=3)
+    deployment.warmup()
+    run_tcp_rr(deployment, 3 * MILLISECONDS, n_connections=128)
+    engine = deployment.env.profile()
+    assert (engine["events_processed"], engine["events_skipped"],
+            deployment.board.accelerator.packets_processed
+            ) == PACKET_PATH_EVENTS
 
 
 @pytest.fixture(scope="module")

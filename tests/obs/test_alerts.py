@@ -37,6 +37,9 @@ def test_rule_validation():
     with pytest.raises(ValueError, match="unknown keys"):
         AlertRule.from_dict({"name": "r", "signal": "s", "threshold": 1.0,
                              "window": 5})
+    with pytest.raises(ValueError, match=r"alert rule 'r': missing required "
+                       r"fields \['signal', 'threshold'\]"):
+        AlertRule.from_dict({"name": "r"})
     with pytest.raises(ValueError, match="duplicate"):
         normalize_alert_rules([
             {"name": "r", "signal": "a", "threshold": 1.0},

@@ -26,6 +26,7 @@ from repro.obs.invariants import SpanPairingChecker
 from repro.obs.spans import (
     _HANDLED_KINDS,
     ExemplarReservoir,
+    Span,
     SpanTracker,
     build_span_trees,
     dominant_segment,
@@ -121,6 +122,35 @@ def test_a_root_that_cannot_enter_skips_attribution_only_when_unread(reader):
     assert tracker._tree == {} and tracker._span_seq == {}
     assert late.count("span.end") == (0 if reader is None else 5)
     assert len(env.tracer) == (10 if reader == "trace" else 0)
+
+
+@pytest.mark.parametrize("retain", [False, True])
+def test_an_open_dp_root_keeps_the_activity_it_will_attribute(retain):
+    # A root open across more vCPU slices than the per-CPU prune trigger:
+    # its whole wait stays attributable whether it is lazy (unread stream)
+    # or an eager Span (retaining tracer), and both give the same record.
+    env = _Env()
+    env.tracer = Tracer(enabled=retain)
+    tracker = SpanTracker(env).enable()
+    request = SimpleNamespace(span_id=None, t_accel_start=None,
+                              t_rx_ready=None)
+    tracker.begin_dp(request, 0)
+    assert tracker.open_spans() == 1
+    slices = 600
+    for i in range(slices):
+        env.now = 100 * i + 10
+        env.tracer.record(env.now, 0, "vmenter", vcpu="v0")
+        env.now += 50
+        env.tracer.record(env.now, 0, "vmexit", vcpu="v0", exit_cost_ns=0)
+    env.now = 100 * slices
+    record = tracker.end_dp(request, 0)
+    assert tracker.open_spans() == 0
+    assert record["request"] == "pkt-1"
+    assert record["spans"] == [{"span": "pkt-1#0", "request": "pkt-1",
+                                "parent": None, "name": "dp_request",
+                                "begin_ns": 0, "end_ns": 100 * slices}]
+    assert record["segments"] == {"sched_delay": 50 * slices,
+                                  "vcpu_occupied": 50 * slices}
 
 
 # -- flat-stream attribution ---------------------------------------------------
@@ -357,13 +387,35 @@ def _taichi_soak():
 
 
 def test_spans_only_soak_pays_for_what_it_keeps(monkeypatch):
-    """The span-cost gate: a spans-only soak stores no trace, builds only
-    the events its tracker reads, and attributes under 1% of its roots,
-    yet its summary (exemplars included) equals a traced soak's, which
-    hands the tracker every event and attributes every packet."""
+    """The span-cost gate: a spans-only soak stores no trace, makes no
+    ``Tracer.record`` call for a kind its tracker does not read, builds a
+    ``Span`` only for an attributed DP root or a VM tree, and attributes
+    under 1% of its roots, yet its summary (exemplars included) equals a
+    traced soak's, which hands the tracker every event and attributes
+    every packet."""
     trackers, attributed, observed = [], [], []
+    recorded, built, ended, vm_trees = [], [], [], []
     enable, attribute = SpanTracker.enable, SpanTracker.attribute
     tracker_observe = SpanTracker.observe
+    record, span_init = Tracer.record, Span.__init__
+    end_root, vm_begin = SpanTracker.end_root, SpanTracker.vm_begin
+
+    def counting_record(self, ts_ns, cpu_id, kind, **detail):
+        recorded.append(kind)
+        return record(self, ts_ns, cpu_id, kind, **detail)
+
+    def counting_span_init(self, span_id, request_id, parent_id, name,
+                           *args):
+        built.append(name)
+        span_init(self, span_id, request_id, parent_id, name, *args)
+
+    def counting_end_root(self, span_id, parts):
+        ended.append(self._open[span_id].channel)
+        return end_root(self, span_id, parts)
+
+    def counting_vm_begin(self, request):
+        vm_trees.append(request)
+        return vm_begin(self, request)
 
     def recording_enable(self, *args, **kwargs):
         trackers.append(self)
@@ -380,6 +432,10 @@ def test_spans_only_soak_pays_for_what_it_keeps(monkeypatch):
     monkeypatch.setattr(SpanTracker, "enable", recording_enable)
     monkeypatch.setattr(SpanTracker, "attribute", counting_attribute)
     monkeypatch.setattr(SpanTracker, "observe", counting_observe)
+    monkeypatch.setattr(Tracer, "record", counting_record)
+    monkeypatch.setattr(Span, "__init__", counting_span_init)
+    monkeypatch.setattr(SpanTracker, "end_root", counting_end_root)
+    monkeypatch.setattr(SpanTracker, "vm_begin", counting_vm_begin)
 
     lean = _taichi_soak()
     (tracker,) = trackers
@@ -388,6 +444,12 @@ def test_spans_only_soak_pays_for_what_it_keeps(monkeypatch):
     assert 0 < len(attributed) < 0.01 * completed
     lean_observed = list(observed)
     assert lean_observed and set(lean_observed) <= _HANDLED_KINDS
+    # The per-kind gate: no site calls record for a kind nobody reads.
+    assert recorded and set(recorded) <= _HANDLED_KINDS
+    # Lazy DP roots: a Span only for a root that enters the reservoir;
+    # a VM tree is a root and three phase children.
+    assert 0 < built.count("dp_request") == ended.count("dp")
+    assert len(built) <= ended.count("dp") + 4 * len(vm_trees)
 
     attributed.clear()
     observed.clear()

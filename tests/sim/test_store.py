@@ -1,8 +1,11 @@
 """Tests for FIFO stores."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment, Store
+from repro.sim.store import StorePut
 
 
 def test_put_then_get_immediate():
@@ -160,3 +163,83 @@ def test_disarm_after_ringing_is_a_noop():
     store.put("z")
     env.run()
     assert bell.value == 1
+
+
+class _DispatchStore(Store):
+    """The reference: every put queues and runs ``_dispatch``, as
+    ``Store.put`` does whenever its fast path does not apply."""
+
+    __slots__ = ()
+
+    def put(self, item):
+        event = StorePut(self, item)
+        self._putters.append(event)
+        self._dispatch()
+        return event
+
+
+def _replay(store_cls, capacity, ops):
+    """Drive one store through ``ops``; log every succeed (in processing
+    order, so in ``succeed`` order per instant), bell value and state."""
+    env = Environment()
+    store = store_cls(env, capacity=capacity)
+    sleeper = Sleeper(store)
+    log = []
+
+    def watch(tag, event):
+        event.callbacks.append(
+            lambda event: log.append((tag, env.now, event.value)))
+
+    for n, (op, arg) in enumerate(ops):
+        if op == "put":
+            watch(("put", n), store.put(n))
+        elif op == "get":
+            watch(("get", n), store.get())
+        elif op == "try_get":
+            log.append(("try_get", store.try_get()))
+        elif op == "batch":
+            log.append(("batch", store.get_batch(arg)))
+        elif op == "bell":
+            sleeper._bell = env.event()
+            watch(("bell", n), sleeper._bell)
+        else:
+            env.run(until=env.now + arg)
+        log.append(("state", list(store.items), len(store._putters),
+                    len(store._getters)))
+    env.run()
+    return log
+
+
+_STORE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.none()),
+    st.tuples(st.just("get"), st.none()),
+    st.tuples(st.just("try_get"), st.none()),
+    st.tuples(st.just("batch"), st.integers(1, 3)),
+    st.tuples(st.just("bell"), st.none()),
+    st.tuples(st.just("run"), st.integers(0, 2)),
+), max_size=30)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(capacity=st.sampled_from([None, 1, 2, 3]), ops=_STORE_OPS)
+def test_put_fast_path_matches_dispatch(capacity, ops):
+    assert _replay(Store, capacity, ops) == \
+        _replay(_DispatchStore, capacity, ops)
+
+
+def test_put_fast_path_with_waiters_and_a_full_store():
+    # Queued putters on a full store, then queued getters on an empty
+    # one, with the consumer's bell armed throughout.
+    ops = ([("bell", None)] + [("put", None)] * 4 + [("run", 1)]
+           + [("batch", 3), ("run", 0), ("bell", None)]
+           + [("get", None)] * 3 + [("put", None)] * 4 + [("run", 1)])
+    log = _replay(Store, 2, ops)
+    assert log == _replay(_DispatchStore, 2, ops)
+    # Each put succeeds before the bell it rings; a bell rings once, with
+    # the depth at its ring; the last put waits on the full store.
+    assert [entry for entry in log if entry[0] != "state"] == [
+        (("put", 1), 0, None), (("bell", 0), 0, 1), (("put", 2), 0, None),
+        ("batch", [1, 2]), (("put", 3), 1, None), (("put", 4), 1, None),
+        (("get", 9), 1, 3), (("bell", 8), 1, 1), (("get", 10), 1, 4),
+        (("put", 12), 1, None), (("get", 11), 1, 12),
+        (("put", 13), 1, None), (("put", 14), 1, None)]
