@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from repro.hw.packet import IORequest, PacketKind
 from repro.kernel import Compute, KernelSection, WaitEvent
 from repro.kernel.runqueue import SchedClass
+from repro.sim.events import AnyOf, Event, Timeout
 
 
 @dataclass
@@ -205,7 +206,7 @@ class DPService:
                 continue
 
             arrival = self._arrival_event()
-            control = self.env.event()
+            control = Event(env)
             self._control_event = control
             # The service spins on empty rx_bursts until traffic, control,
             # or (on a Tai Chi board) the adaptive empty-poll threshold.
@@ -218,18 +219,17 @@ class DPService:
             else:
                 threshold = self.idle_notifier.threshold_for(self)
                 n_polls = max(int(threshold), 1)
-                timer = self.env.timeout(n_polls * params.poll_ns)
+                timer = Timeout(env, n_polls * params.poll_ns)
                 race = [arrival, timer, control]
-            idle_since = self.env.now
-            yield WaitEvent(self.env.any_of(race))
+            idle_since = env.now
+            yield WaitEvent(AnyOf(env, race))
             self._bell = None
             if (timer is None or arrival.triggered or control.triggered
                     or self._shutdown):
-                self.env.note_fast_forward(
-                    (self.env.now - idle_since) // params.poll_ns)
+                env.note_fast_forward((env.now - idle_since) // params.poll_ns)
                 self._control_event = None
                 continue  # traffic/control beat the threshold; count resets
-            self.env.note_fast_forward(n_polls)
+            env.note_fast_forward(n_polls)
             self.empty_poll_streaks += 1
             if self.probe_fusion and self._pipeline_traffic_imminent():
                 # Packets are already inside the accelerator pipeline:
@@ -238,18 +238,18 @@ class DPService:
                 continue
             self.idle_notifications += 1
             self._m_idle_yields.inc()
-            tracer = self.env.tracer
+            tracer = env.tracer
             if "dp_idle_yield" in tracer.reads:
-                tracer.record(self.env.now, self.cpu_id, "dp_idle_yield",
+                tracer.record(env.now, self.cpu_id, "dp_idle_yield",
                               service=self.name, threshold=threshold)
             self.is_idle_blocked = True
             self.idle_notifier.notify_idle(self)
-            resume = self.env.event()
+            resume = Event(env)
             self._resume_event = resume
             # No poll accounting here: the CPU is donated, the loop is not
             # running, so an idle-blocked wait skips nothing.
-            yield WaitEvent(self.env.any_of(
-                [self._arrival_event(), resume, control]))
+            yield WaitEvent(AnyOf(env, [self._arrival_event(), resume,
+                                        control]))
             self._bell = None
             self._resume_event = None
             self._control_event = None
@@ -282,14 +282,14 @@ class DPService:
         node metrics count ``engine_events``, so collapsing it changes the
         pinned fleet digest.  Simulated results do not depend on it.
         """
-        bell = self.env.event()
+        bell = Event(self.env)
         self._bell = bell
         for store in self.rx_stores:
             if store.items:
                 bell.succeed(len(store.items))
                 break
         if len(self.rx_stores) > 1:
-            return self.env.any_of([bell])
+            return AnyOf(self.env, [bell])
         return bell
 
     def _packet_cost(self, request):

@@ -43,6 +43,8 @@ class Accelerator:
         # Fault injection: no preprocessing engine may start before this
         # horizon (a wedged pipeline); already-started work is unaffected.
         self.stall_until_ns = 0
+        # Bound once: every submitted packet's deposit timeout runs it.
+        self._depositor = self._deposit
 
     def attach_queue(self, queue_id, store, dst_cpu_id):
         """Register a shared-memory rx queue owned by a DP service CPU."""
@@ -96,7 +98,7 @@ class Accelerator:
         # store and CPU are the ones the queue had at submit time, even if
         # the queue is retargeted while the packet is in the pipeline.
         Timeout(env, ready_at - now,
-                (request, store, dst_cpu_id)).callbacks.append(self._deposit)
+                (request, store, dst_cpu_id)).callbacks.append(self._depositor)
         self.packets_processed += 1
         return ready_at
 

@@ -2,6 +2,9 @@
 
 from repro.sim.events import Timeout
 
+#: Wire-jitter draws taken from the generator at a time.
+_JITTER_BLOCK = 256
+
 
 class Link:
     """A serializing link with propagation latency.
@@ -10,6 +13,11 @@ class Link:
     propagate for ``latency_ns``.  ``transfer`` returns the delivery time;
     the caller schedules whatever happens at the far end, or passes an
     ``on_delivered(event)`` callback that the delivery timeout runs.
+
+    Wire jitter is exponential with mean ``jitter_ns``, drawn
+    ``_JITTER_BLOCK`` at a time: ``jitter_ns * standard_exponential()``
+    is ``exponential(jitter_ns)`` draw for draw, and the link is its
+    generator's only reader, so a block gives the same jitter sequence.
     """
 
     def __init__(self, env, name, bandwidth_gbps, latency_ns, jitter_rng=None,
@@ -22,6 +30,7 @@ class Link:
         self.latency_ns = int(latency_ns)
         self.jitter_ns = int(jitter_ns)
         self._jitter_rng = jitter_rng
+        self._jitter = []          # undrawn jitter of the current block
         self._next_free_ns = 0
         self.transfers = 0
         self.bytes_moved = 0
@@ -34,7 +43,12 @@ class Link:
         self._next_free_ns = start + ser
         jitter = 0
         if self._jitter_rng is not None and self.jitter_ns > 0:
-            jitter = int(self._jitter_rng.exponential(self.jitter_ns))
+            block = self._jitter
+            if not block:
+                block = self._jitter = (
+                    self.jitter_ns * self._jitter_rng.standard_exponential(
+                        size=_JITTER_BLOCK))[::-1].tolist()
+            jitter = int(block.pop())
         deliver_at = start + ser + self.latency_ns + jitter
         self.transfers += 1
         self.bytes_moved += size_bytes

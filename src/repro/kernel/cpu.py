@@ -20,7 +20,7 @@ routines) and VM-exit (always possible).
 import enum
 
 from repro.sim.errors import Interrupt
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event, Timeout, _PENDING
 from repro.kernel.instructions import (
     Compute,
     Exit,
@@ -60,10 +60,11 @@ _EXITED = "exited"
 
 
 def _waker(kernel, thread):
-    """Callback waking blocked ``thread`` with its event's value."""
+    """Callback waking blocked ``thread`` with its event's value; built
+    once per thread and kept as ``thread.waker``."""
 
     def _wake(event):
-        kernel.wake_thread(thread, result=event.value)
+        kernel.wake_thread(thread, result=event._value)
 
     return _wake
 
@@ -81,7 +82,7 @@ class CPU:
         self.kernel = kernel
         self.env = kernel.env
         self.cpu_id = cpu_id
-        self.runqueue = RunQueue(cpu_id)
+        self.runqueue = RunQueue(cpu_id, kernel.fair_affinities)
         self.state = CpuState.OFFLINE
         # True while the executor may run (state neither OFFLINE nor
         # BOOTING).  A plain attribute because wake placement reads it on
@@ -186,12 +187,13 @@ class CPU:
         self.need_resched = True
         if not self.online or self._proc is None:
             return
-        if self._idle_wakeup is not None and not self._idle_wakeup.triggered:
-            self._idle_wakeup.succeed()
+        wakeup = self._idle_wakeup
+        if wakeup is not None and wakeup._value is _PENDING:
+            wakeup.succeed()
         elif (
             self._interrupt_ok
             and not self._kick_pending
-            and self.env.active_process is not self._proc
+            and self.env._active_process is not self._proc
         ):
             self._kick_pending = True
             self._proc.interrupt(KICK)
@@ -358,7 +360,8 @@ class CPU:
         softirqs through :meth:`_run_softirqs`, the vCPU gate and
         revocation through :meth:`_gate` / :meth:`_handle_cause` — and
         creates the same events in the same order as a chain of nested
-        generators would.
+        generators would.  While spans are on, each stint's start and end
+        also go straight to ``env.spans``, traced or not.
         """
         env = self.env
         kernel = self.kernel
@@ -367,6 +370,7 @@ class CPU:
         softirqs = kernel.softirq._pending
         cpu_id = self.cpu_id
         is_virtual = self.is_virtual
+        spans = env.spans
         while True:
             if self._offline_requested:
                 self._go_offline()
@@ -431,8 +435,10 @@ class CPU:
             if "sched_in" in tracer.reads:
                 tracer.record(now, cpu_id, "sched_in",
                               thread=thread.name, rq=len(runqueue))
+            if spans.enabled:
+                spans.sched_in(cpu_id, thread.name, now)
             if thread.wait_since_ns is not None:
-                kernel.record_sched_latency(now - thread.wait_since_ns)
+                kernel.sched_latency.record(now - thread.wait_since_ns)
                 thread.wait_since_ns = None
             self._slice_end = (
                 now + params.sched_slice_ns
@@ -532,7 +538,11 @@ class CPU:
                         thread.pending_result = None  # set by wake_thread
                         thread.state = ThreadState.BLOCKED
                         thread.cpu = None
-                        event.callbacks.append(_waker(kernel, thread))
+                        # No local name for the waker: the frame would
+                        # keep it, and through it the thread, alive.
+                        if thread.waker is None:
+                            thread.waker = _waker(kernel, thread)
+                        event.callbacks.append(thread.waker)
                         outcome = _BLOCKED
                 elif instruction is not None:
                     outcome = yield from self._run_instruction(thread,
@@ -551,6 +561,8 @@ class CPU:
                 tracer.record(now, cpu_id, "sched_out",
                               thread=thread.name, outcome=outcome,
                               ran_ns=ran_ns)
+            if spans.enabled:
+                spans.sched_out(cpu_id, thread.name, now)
             if "rq_depth" in tracer.reads:
                 tracer.record(now, cpu_id, "rq_depth",
                               depth=len(runqueue))

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 from repro.kernel.cpu import CPU
 from repro.kernel.ipi import IPIController, IPIVector
-from repro.kernel.runqueue import SchedClass
+from repro.kernel.runqueue import SchedClass, may_run_on
 from repro.kernel.softirq import SoftirqSubsystem
 from repro.kernel.spinlock import Spinlock
 from repro.kernel.thread import KThread, ThreadState
@@ -45,6 +45,10 @@ class Kernel:
         # CPU is registered.
         self._candidates = {}
         self.threads = {}
+        # Queued fair threads per affinity set over every run queue
+        # (``RunQueue`` keeps it with its own counts): an idle CPU that no
+        # set allows has nothing to steal.
+        self.fair_affinities = {}
         self.ipi = IPIController(self, latency_ns=self.params.ipi_latency_ns)
         self.softirq = SoftirqSubsystem(self)
 
@@ -171,8 +175,9 @@ class Kernel:
         A CPU parking for hotplug removal is a last resort: placing there
         just bounces the thread back through offline migration.  This runs
         on every thread wake, so it is a single pass over the CPUs the
-        thread's affinity allows (cached per affinity set; a pinned DP
-        poller has one), with one ``placement_load()`` call each.
+        thread's affinity allows (cached per affinity set), with one
+        ``placement_load()`` call each, and no pass at all when the set
+        allows one CPU (a pinned DP poller).
         """
         affinity = thread.affinity
         candidates = self._candidates.get(affinity)
@@ -180,6 +185,11 @@ class Kernel:
             candidates = self._candidates[affinity] = [
                 cpu for cpu in self.cpus.values()
                 if affinity is None or cpu.cpu_id in affinity]
+        if len(candidates) == 1:
+            # One allowed CPU: the scan below picks it whenever it is
+            # online, idle or not, parking or not.
+            cpu = candidates[0]
+            return cpu if cpu.online else None
         first_idle = None            # first zero-load non-parking candidate
         best = None                  # least-loaded non-parking candidate
         best_key = None
@@ -250,14 +260,17 @@ class Kernel:
         """Give an idling physical CPU something to do.
 
         First new-idle balancing (steal a waiting fair thread from a
-        congested CPU or an unbacked vCPU), then any registered idle
-        callbacks (Tai Chi uses these to back runnable vCPUs on dedicated
-        CP pCPUs, the forward-progress guarantee of Section 4.1).
+        congested CPU or an unbacked vCPU; skipped when the kernel-wide
+        affinity counts show no queued fair thread allowed on ``cpu``),
+        then any registered idle callbacks (Tai Chi uses these to back
+        runnable vCPUs on dedicated CP pCPUs, the forward-progress
+        guarantee of Section 4.1).
         Returns True if work was produced.
         """
         if cpu.is_virtual:
             return False
-        if self.steal_work(cpu) is not None:
+        if (may_run_on(self.fair_affinities, cpu.cpu_id)
+                and self.steal_work(cpu) is not None):
             return True
         for callback in self.idle_callbacks:
             if callback(cpu):
@@ -296,6 +309,7 @@ class Kernel:
     def finish_thread(self, thread):
         thread.state = ThreadState.EXITED
         thread.cpu = None
+        thread.waker = None  # it refers back to the thread
         self.finished_threads += 1
         self.threads.pop(thread.tid, None)
         if thread.done is not None and not thread.done.triggered:
@@ -309,9 +323,6 @@ class Kernel:
         return Spinlock(self, name=name)
 
     # -- Statistics hooks ------------------------------------------------------------
-
-    def record_sched_latency(self, latency_ns):
-        self.sched_latency.record(latency_ns)
 
     def record_nonpreemptible(self, duration_ns):
         self.nonpreemptible.add(duration_ns)

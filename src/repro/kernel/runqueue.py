@@ -11,6 +11,15 @@ class SchedClass(enum.Enum):
     FAIR = 1
 
 
+def may_run_on(affinities, cpu_id):
+    """Whether any affinity set counted in ``affinities`` allows CPU
+    ``cpu_id`` (``None`` allows every CPU)."""
+    for affinity in affinities:
+        if affinity is None or cpu_id in affinity:
+            return True
+    return False
+
+
 class RunQueue:
     """Holds READY threads for one CPU.
 
@@ -20,18 +29,22 @@ class RunQueue:
 
     The queue also counts its fair threads per affinity set, so newidle
     balancing can ask :meth:`may_give` whether any of them may run on a
-    CPU by scanning a few distinct sets instead of every thread.
+    CPU by scanning a few distinct sets instead of every thread.  The
+    same counts go into ``totals``, a dict the queues of one kernel
+    share, so the kernel can ask the question of all its queues at once.
     """
 
-    __slots__ = ("cpu_id", "_rt", "_fair", "_affinities", "min_vruntime")
+    __slots__ = ("cpu_id", "_rt", "_fair", "_affinities", "_totals",
+                 "min_vruntime")
 
-    def __init__(self, cpu_id):
+    def __init__(self, cpu_id, totals=None):
         self.cpu_id = cpu_id
         self._rt = deque()
         self._fair = []
         # Queued fair threads per affinity set (``None`` = any CPU); a set
         # whose count falls to zero is removed.
         self._affinities = {}
+        self._totals = totals if totals is not None else {}
         self.min_vruntime = 0.0
 
     def __len__(self):
@@ -55,9 +68,14 @@ class RunQueue:
             if thread.vruntime < self.min_vruntime:
                 thread.vruntime = self.min_vruntime
             self._fair.append(thread)
-            affinities = self._affinities
-            affinity = thread.affinity
-            affinities[affinity] = affinities.get(affinity, 0) + 1
+            self._count(thread.affinity)
+
+    def _count(self, affinity):
+        """Add one queued fair thread of ``affinity`` to the counts."""
+        affinities = self._affinities
+        affinities[affinity] = affinities.get(affinity, 0) + 1
+        totals = self._totals
+        totals[affinity] = totals.get(affinity, 0) + 1
 
     def _forget(self, affinity):
         """Drop one queued fair thread of ``affinity`` from the counts."""
@@ -67,6 +85,12 @@ class RunQueue:
             affinities[affinity] = left
         else:
             del affinities[affinity]
+        totals = self._totals
+        left = totals[affinity] - 1
+        if left:
+            totals[affinity] = left
+        else:
+            del totals[affinity]
 
     def dequeue(self, thread):
         """Remove a specific thread (e.g. migrated away); returns success."""
@@ -87,18 +111,13 @@ class RunQueue:
             return True
         if thread in self._fair:
             self._forget(old_affinity)
-            affinities = self._affinities
-            affinity = thread.affinity
-            affinities[affinity] = affinities.get(affinity, 0) + 1
+            self._count(thread.affinity)
             return True
         return False
 
     def may_give(self, cpu_id):
         """Whether any queued fair thread may run on CPU ``cpu_id``."""
-        for affinity in self._affinities:
-            if affinity is None or cpu_id in affinity:
-                return True
-        return False
+        return may_run_on(self._affinities, cpu_id)
 
     def steal_candidate(self, cpu_id):
         """The queued fair thread allowed on ``cpu_id`` with the lowest

@@ -31,7 +31,7 @@ class KThread:
                  "nice_weight", "state", "cpu", "last_cpu", "vruntime",
                  "total_runtime_ns", "wait_since_ns", "exit_value",
                  "current_instruction", "remaining_ns", "pending_result",
-                 "started", "locks_held", "done")
+                 "started", "locks_held", "done", "waker", "__weakref__")
 
     def __init__(self, name, body, affinity=None, sched_class=None, nice_weight=1.0):
         from repro.kernel.runqueue import SchedClass
@@ -65,6 +65,10 @@ class KThread:
 
         # Completion event (set by the kernel when spawned).
         self.done = None
+        # The callback that wakes this thread when the event it blocks on
+        # fires: built at its first block, reused by every later one, and
+        # dropped when it exits (it refers back to the thread).
+        self.waker = None
 
     @property
     def holds_locks(self):

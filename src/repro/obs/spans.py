@@ -31,20 +31,26 @@ link to them by request id.  Everything here only *reads* simulation
 state and records trace events — span tracking never schedules, so
 spans-on runs produce byte-identical results to spans-off runs.
 
-Spans cost about what they keep.  When the tracker is its tracer's only
-reader (the tracer does not retain and no other hook, such as an inline
-invariant checker, was attached when spans were enabled), nobody reads
-the ``span.begin``/``span.end`` events, so they are not recorded, and a
-root strictly shorter than everything its full reservoir keeps is closed
+Spans cost about what they keep.  Thread stints reach the tracker
+without a trace event: while spans are on, each CPU executor hands every
+``sched_in``/``sched_out`` to :meth:`SpanTracker.sched_in` /
+:meth:`SpanTracker.sched_out`, so a spans-only run builds no scheduling
+event at all.  When the tracker is its tracer's only reader (the tracer
+does not retain and no other hook, such as an inline invariant checker,
+was attached when spans were enabled), nobody reads the
+``span.begin``/``span.end`` events, so they are not recorded, and a root
+strictly shorter than everything its full reservoir keeps is closed
 without attribution: it could never become an exemplar.  DP roots are
-then lazy as well: a packet's root is a sequence number, a begin time
-and a CPU until it closes, and a :class:`Span` is built only for a root
-that can enter the reservoir, with the id, window and CPU an eager root
-would have had, so exemplars are identical.  A capture (a retaining
-tracer) or a checker gets every event and every decomposition.
+then lazy as well: a packet's root is its begin time, CPU and sequence
+number, carried by the request until it closes, and a :class:`Span` is
+built only for a root that can enter the reservoir, with the id, window
+and CPU an eager root would have had, so exemplars are identical.  A
+lazy root closes in one step: one comparison against the reservoir's
+cached entry floor.  A capture (a retaining tracer) or a checker gets
+every event and every decomposition.
 """
 
-from collections import deque
+from collections import defaultdict, deque
 
 from repro.metrics.stats import summarize
 
@@ -68,14 +74,19 @@ _SEGMENT_NAME = {
 #: Flat-event kinds the tracker's hook actually consumes; everything
 #: else early-returns.  Declared to the tracer, which builds no other
 #: kind while the tracker is its only reader and it retains nothing.
+#: Thread stints are not among them: the executor feeds those directly.
 _HANDLED_KINDS = frozenset((
-    "sched_in", "sched_out", "vmenter", "vmexit", "ipi_send",
-    "ipi_deliver", "hwprobe_irq", "fault.ipi_drop", "ipi.dropped",
+    "vmenter", "vmexit", "ipi_send", "ipi_deliver", "hwprobe_irq",
+    "fault.ipi_drop", "ipi.dropped",
 ))
 
 #: Per-CPU closed-interval retention floor; pruned against the oldest
 #: open span so memory stays O(in-flight requests + recent activity).
 _PRUNE_TRIGGER = 512
+
+#: Lazy DP roots are counted per ``2**_LAZY_SHIFT`` ns (65.5 us) of begin
+#: time; the oldest counted bucket bounds the oldest open lazy root.
+_LAZY_SHIFT = 16
 
 
 class Span:
@@ -174,7 +185,8 @@ class SpanTracker:
 
     Starts disabled; :meth:`enable` hooks :meth:`observe` into the env's
     tracer so the tracker sees the flat event stream (vCPU slices, IPI
-    traffic, DP thread scheduling) it attributes wait windows from.
+    traffic) it attributes wait windows from, and the CPU executors hand
+    it thread stints (:meth:`sched_in` / :meth:`sched_out`).
     Instrumentation sites gate on ``env.spans.enabled`` with a single
     attribute check, mirroring the tracer's own gate.
     """
@@ -190,16 +202,20 @@ class SpanTracker:
         self._tree = {}            # request_id -> [closed child Span]
         self._span_seq = {}        # request_id -> next child ordinal
         self._request_seq = 0      # auto request-id counter (dp packets)
-        # Lazy DP roots, in begin order: seq -> (t_begin, cpu).
-        self._lazy_dp = {}
+        # Open lazy DP roots per bucket of begin time (see _LAZY_SHIFT),
+        # oldest bucket first; a bucket is dropped when its count is 0.
+        self._lazy_dp = defaultdict(int)
         self._vm_state = {}        # request_id -> phase bookkeeping
         # Set at enable() when no other hook reads the tracer: span events
         # and the attribution of roots that cannot become exemplars then
         # matter only to a retaining tracer.
         self._sole_reader = False
+        # The DP reservoir's entry floor (see _entry_floor), kept current
+        # by end_root so a lazy root's close reads one attribute.
+        self._dp_floor = 0
 
         # Flat-stream attribution state.
-        self._cpu_iv = {}          # cpu -> deque[(t0, t1, kind, extra)]
+        self._cpu_iv = defaultdict(deque)  # cpu -> [(t0, t1, kind, extra)]
         self._open_vm = {}         # cpu -> vmenter ts
         self._open_dp = {}         # cpu -> dp-thread sched_in ts
         self._dp_threads = set()   # registered DP service thread names
@@ -217,6 +233,9 @@ class SpanTracker:
             # all rather than a span.end whose span.begin was skipped.
             self._sole_reader = not self.env.tracer.hooks
             self.env.tracer.add_hook(self.observe, kinds=_HANDLED_KINDS)
+            reservoir = self.reservoirs.get("dp")
+            if reservoir is not None:
+                self._dp_floor = self._entry_floor(reservoir)
         return self
 
     def disable(self):
@@ -238,6 +257,34 @@ class SpanTracker:
     def unwatch_thread(self, name):
         self._watched.pop(name, None)
 
+    # -- Thread stints (fed by the CPU executors) ----------------------------------
+
+    def sched_in(self, cpu_id, thread, now):
+        """Thread ``thread`` (a name) started running on ``cpu_id``."""
+        if thread in self._dp_threads:
+            self._open_dp[cpu_id] = now
+        if thread in self._watched:
+            watched = self._watched[thread]
+            watched["cpu"] = cpu_id
+            watched["open"] = now
+
+    def sched_out(self, cpu_id, thread, now):
+        """Thread ``thread`` (a name) stopped running on ``cpu_id``."""
+        open_dp = self._open_dp
+        if thread in self._dp_threads and cpu_id in open_dp:
+            t0 = open_dp[cpu_id]
+            del open_dp[cpu_id]
+            # _add_interval inlined: nearly every stint is a DP one.
+            intervals = self._cpu_iv[cpu_id]
+            intervals.append((t0, now, "dp", 0))
+            if len(intervals) > _PRUNE_TRIGGER:
+                self._prune(intervals)
+        if thread in self._watched:
+            watched = self._watched[thread]
+            if watched["open"] is not None:
+                watched["iv"].append((watched["open"], now))
+                watched["open"] = None
+
     # -- Flat-event consumption (tracer hook) --------------------------------------
 
     def observe(self, event):
@@ -245,25 +292,7 @@ class SpanTracker:
         if kind not in _HANDLED_KINDS:
             return
         detail = event.detail
-        if kind == "sched_in":
-            thread = detail.get("thread")
-            if thread in self._dp_threads:
-                self._open_dp[event.cpu_id] = event.ts_ns
-            watched = self._watched.get(thread)
-            if watched is not None:
-                watched["cpu"] = event.cpu_id
-                watched["open"] = event.ts_ns
-        elif kind == "sched_out":
-            thread = detail.get("thread")
-            if thread in self._dp_threads:
-                t0 = self._open_dp.pop(event.cpu_id, None)
-                if t0 is not None:
-                    self._add_interval(event.cpu_id, t0, event.ts_ns, "dp")
-            watched = self._watched.get(thread)
-            if watched is not None and watched["open"] is not None:
-                watched["iv"].append((watched["open"], event.ts_ns))
-                watched["open"] = None
-        elif kind == "vmenter":
+        if kind == "vmenter":
             self._open_vm[event.cpu_id] = event.ts_ns
         elif kind == "vmexit":
             t0 = self._open_vm.pop(event.cpu_id, None)
@@ -293,14 +322,16 @@ class SpanTracker:
                 queue.popleft()
 
     def _add_interval(self, cpu_id, t0, t1, kind, extra=0):
-        intervals = self._cpu_iv.get(cpu_id)
-        if intervals is None:
-            intervals = self._cpu_iv[cpu_id] = deque()
+        intervals = self._cpu_iv[cpu_id]
         intervals.append((t0, t1, kind, extra))
         if len(intervals) > _PRUNE_TRIGGER:
-            floor = self._retention_floor()
-            while intervals and intervals[0][1] < floor:
-                intervals.popleft()
+            self._prune(intervals)
+
+    def _prune(self, intervals):
+        """Drop a CPU's intervals that ended before every open root."""
+        floor = self._retention_floor()
+        while intervals and intervals[0][1] < floor:
+            intervals.popleft()
 
     def _unread(self, tracer):
         """True when nothing but this tracker reads ``tracer``'s events."""
@@ -311,8 +342,9 @@ class SpanTracker:
         if self._open:
             floor = min(span.t_begin for span in self._open.values())
         if self._lazy_dp:
-            # Begin order is time order: the first lazy root is the oldest.
-            floor = min(floor, next(iter(self._lazy_dp.values()))[0])
+            # Buckets are created in time order and dropped when empty:
+            # the first one holds the oldest open lazy root.
+            floor = min(floor, next(iter(self._lazy_dp)) << _LAZY_SHIFT)
         return floor
 
     # -- Span emission -------------------------------------------------------------
@@ -397,38 +429,36 @@ class SpanTracker:
             reservoir = self.reservoirs[span.channel] = ExemplarReservoir(
                 self.exemplar_k)
         reservoir.offer(record)
+        if span.channel == "dp":
+            self._dp_floor = self._entry_floor(reservoir)
         return record
 
-    def _cannot_enter(self, channel, t_begin):
-        """True if nobody else reads the stream and ``channel``'s full
-        reservoir keeps only roots strictly longer than one begun at
-        ``t_begin`` and closing now, so it could never enter, whatever
-        its id."""
-        if not self._unread(self.env.tracer):
-            return False
-        reservoir = self.reservoirs.get(channel)
-        return (reservoir is not None
-                and len(reservoir.records) >= reservoir.k
-                and self.env.now - t_begin
-                < reservoir.records[-1]["duration_ns"])
-
-    def _pass_over(self, channel):
-        """Count a root closed without attribution as completed and
-        offered, as :meth:`end_root` would have."""
-        self.roots_completed += 1
-        self.reservoirs[channel].offered += 1
+    def _entry_floor(self, reservoir):
+        """The duration a root must reach to enter ``reservoir`` while
+        nobody else reads the stream: a full reservoir keeps only roots
+        at least as long as its shortest one, so a strictly shorter root
+        could never enter, whatever its id.  0, which no duration is
+        below, while the reservoir has room or others read the stream
+        (a retaining tracer is checked at close)."""
+        if not self._sole_reader or len(reservoir.records) < reservoir.k:
+            return 0
+        return reservoir.records[-1]["duration_ns"]
 
     def _passed_over(self, span):
-        """Close root ``span`` now without attribution if it
-        :meth:`_cannot_enter` its reservoir: the bookkeeping of
-        :meth:`end_root` without its event or record.  Returns whether
-        it did."""
-        if not self._cannot_enter(span.channel, span.t_begin):
+        """Close root ``span`` now without attribution if it is below its
+        reservoir's entry floor and no retaining tracer wants its events:
+        the bookkeeping of :meth:`end_root` (completed and offered)
+        without its event or record.  Returns whether it did."""
+        reservoir = self.reservoirs.get(span.channel)
+        if (reservoir is None
+                or self.env.now - span.t_begin >= self._entry_floor(reservoir)
+                or self.env.tracer.retain):
             return False
         del self._open[span.span_id]
         self._tree.pop(span.request_id, None)
         self._span_seq.pop(span.request_id, None)
-        self._pass_over(span.channel)
+        self.roots_completed += 1
+        reservoir.offered += 1
         return True
 
     # -- Window attribution --------------------------------------------------------
@@ -486,37 +516,48 @@ class SpanTracker:
         """Open a DP request root (accelerator submit time).
 
         While the stream is unread the root is lazy: ``request.span_id``
-        holds its sequence number, and no :class:`Span` or event is made
-        until :meth:`end_dp` finds it can enter the reservoir."""
-        if self._unread(self.env.tracer):
-            self._request_seq += 1
-            seq = self._request_seq
-            self._lazy_dp[seq] = (self.env.now, dst_cpu_id)
-            request.span_id = seq
+        holds ``(t_begin, cpu, seq)``, its begin-time bucket counts one
+        more open root, and no :class:`Span` or event is made until
+        :meth:`end_dp` finds it can enter the reservoir."""
+        env = self.env
+        if self._sole_reader and not env.tracer.retain:
+            now = env.now
+            self._request_seq = seq = self._request_seq + 1
+            self._lazy_dp[now >> _LAZY_SHIFT] += 1
+            request.span_id = (now, dst_cpu_id, seq)
         else:
             request.span_id = self.begin("dp_request", channel="dp",
                                          cpu_id=dst_cpu_id)
 
     def end_dp(self, request, cpu_id):
         """Close a DP root at poll pickup with the full decomposition,
-        unless it cannot enter the reservoir (:meth:`_cannot_enter`)."""
-        key, request.span_id = request.span_id, None
-        lazy = self._lazy_dp.pop(key, None)
-        if lazy is not None:
-            t_begin, dst_cpu_id = lazy
-            if self._cannot_enter("dp", t_begin):
-                self._pass_over("dp")
+        unless it is below the reservoir's entry floor
+        (:meth:`_entry_floor`)."""
+        root, request.span_id = request.span_id, None
+        env = self.env
+        now = env.now
+        if root.__class__ is tuple:
+            t_begin, dst_cpu_id, seq = root
+            lazy = self._lazy_dp
+            bucket = t_begin >> _LAZY_SHIFT
+            left = lazy[bucket] - 1
+            if left:
+                lazy[bucket] = left
+            else:
+                del lazy[bucket]
+            if now - t_begin < self._dp_floor and not env.tracer.retain:
+                self.roots_completed += 1
+                self.reservoirs["dp"].offered += 1
                 return None
             # The span an eager begin_dp would have opened.
-            request_id = f"pkt-{key}"
+            request_id = f"pkt-{seq}"
             span = Span(f"{request_id}#0", request_id, None, "dp_request",
                         "dp", dst_cpu_id, t_begin)
             self._open[span.span_id] = span
         else:
-            span = self._open.get(key)
+            span = self._open.get(root)
             if span is None or self._passed_over(span):
                 return None
-        now = self.env.now
         parts = []
         accel_start = request.t_accel_start
         rx_ready = request.t_rx_ready
@@ -646,7 +687,7 @@ class SpanTracker:
 
     def open_spans(self):
         """Open spans, lazy DP roots included."""
-        return len(self._open) + len(self._lazy_dp)
+        return len(self._open) + sum(self._lazy_dp.values())
 
     def __repr__(self):
         state = "on" if self.enabled else "off"

@@ -15,7 +15,9 @@ the data plane after warmup, Section 8's inverse adaptation) and
 
 Dict-valued knobs are coerced to their dataclasses (``taichi_config``
 -> :class:`~repro.core.TaiChiConfig` etc.) so a knob set round-trips
-through :class:`~repro.scenario.spec.Scenario` JSON.
+through :class:`~repro.scenario.spec.Scenario` JSON.  Their values are
+checked when the knobs are validated, nested dataclass fields included,
+so a bad one fails at spec time with a ``ValueError`` naming the knob.
 """
 
 import inspect
@@ -27,6 +29,7 @@ from repro.core import DynamicRepartitioner, TaiChiConfig
 from repro.dp import DPServiceParams
 from repro.hw import AcceleratorParams, BoardConfig
 from repro.kernel import KernelParams
+from repro.spec_fields import check_spec_fields
 from repro.virt.costs import VirtCosts
 
 #: Alias -> arm name.
@@ -72,14 +75,35 @@ def arm_knobs(name):
 
 
 def validate_knobs(name, knobs):
-    """Reject unknown knobs with the arm name and its accepted set."""
+    """Reject unknown knobs with the arm name and its accepted set, and
+    bad values of the dataclass knobs with the knob's name."""
     cls = get_arm(name)
     unknown = sorted(set(knobs) - _knobs(cls))
     if unknown:
         raise ValueError(
             f"arm {cls.name!r} does not accept knob(s) {unknown}; "
             f"accepted knobs: {sorted(_knobs(cls))}")
+    for key, (knob_cls, nested) in _KNOB_FACTORIES.items():
+        value = knobs.get(key)
+        if value is not None:
+            _check_knob_value(f"knob {key!r}", value, knob_cls, nested)
     return cls
+
+
+def _check_knob_value(owner, value, cls, nested):
+    """A ``cls``-like dataclass instance, or a dict that builds ``cls``
+    whose ``nested`` fields (name -> dataclass) pass the same check."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return
+    if not isinstance(value, dict):
+        raise ValueError(
+            f"{owner} must be a dict of {cls.__name__} fields, got "
+            f"{type(value).__name__}")
+    check_spec_fields(owner, value, cls)
+    for field_name, field_cls in nested.items():
+        if field_name in value:
+            _check_knob_value(f"{owner}.{field_name}", value[field_name],
+                              field_cls, {})
 
 
 def build(name, seed=0, **knobs):
@@ -108,36 +132,24 @@ def build(name, seed=0, **knobs):
 def _coerce_knobs(knobs):
     """Revive dict-valued knobs (from Scenario JSON) into their dataclasses."""
     revived = dict(knobs)
-    for key, factory in _KNOB_FACTORIES.items():
+    for key, (cls, nested) in _KNOB_FACTORIES.items():
         value = revived.get(key)
         if isinstance(value, dict):
-            revived[key] = factory(value)
+            data = dict(value)
+            for field_name, field_cls in nested.items():
+                if isinstance(data.get(field_name), dict):
+                    data[field_name] = field_cls(**data[field_name])
+            revived[key] = cls(**data)
     return revived
 
 
-def _taichi_config_from_dict(data):
-    data = dict(data)
-    costs = data.get("costs")
-    if isinstance(costs, dict):
-        data["costs"] = VirtCosts(**costs)
-    return TaiChiConfig(**data)
-
-
-def _board_config_from_dict(data):
-    data = dict(data)
-    accelerator = data.get("accelerator")
-    if isinstance(accelerator, dict):
-        data["accelerator"] = AcceleratorParams(**accelerator)
-    kernel = data.get("kernel")
-    if isinstance(kernel, dict):
-        data["kernel"] = KernelParams(**kernel)
-    return BoardConfig(**data)
-
-
+#: Dataclass knobs: knob -> (its dataclass, {field: dataclass} of the
+#: fields that are dataclasses themselves).
 _KNOB_FACTORIES = {
-    "taichi_config": _taichi_config_from_dict,
-    "board_config": _board_config_from_dict,
-    "dp_params": lambda data: DPServiceParams(**data),
+    "taichi_config": (TaiChiConfig, {"costs": VirtCosts}),
+    "board_config": (BoardConfig, {"accelerator": AcceleratorParams,
+                                   "kernel": KernelParams}),
+    "dp_params": (DPServiceParams, {}),
 }
 
 

@@ -222,7 +222,7 @@ class Condition(Event):
             if self.triggered:
                 # Already decided: later members never had _check attached
                 # (or just triggered us) — drop it from the earlier ones.
-                self._prune()
+                self._prune(self._check)
                 break
 
     def _done_events(self):
@@ -238,11 +238,11 @@ class Condition(Event):
         elif self._evaluate(self._events, self._count):
             self.succeed(ConditionValue(self._done_events()))
         if self.triggered:
-            self._prune()
+            self._prune(self._check)
 
-    def _prune(self):
-        """Detach ``_check`` from members that will never need it again."""
-        check = self._check
+    def _prune(self, check):
+        """Detach ``check`` (a binding of ``_check``) from members that
+        will never need it again."""
         for event in self._events:
             callbacks = event.callbacks
             if callbacks is not None and check in callbacks:
@@ -270,10 +270,12 @@ class AnyOf(Condition):
     member count and no property reads.  They build the same
     :class:`ConditionValue`, apply the same fail/defuse rule, prune the
     same callbacks and make the same ``succeed``/``fail`` call as
-    :class:`Condition` did with an any-of rule.
+    :class:`Condition` did with an any-of rule.  ``_check`` is bound once,
+    so pruning finds it in a member's callbacks by identity; the binding
+    is dropped once the condition is decided.
     """
 
-    __slots__ = ()
+    __slots__ = ("_checker",)
 
     def __init__(self, env, events):
         self.env = env
@@ -288,10 +290,11 @@ class AnyOf(Condition):
                 raise SimulationError("events belong to different environments")
 
         if not events:
+            self._checker = None
             self.succeed(ConditionValue([]))
             return
 
-        check = self._check
+        self._checker = check = self._check
         for event in events:
             if event.callbacks is None:
                 # Already processed: it wins now, and ``_check`` prunes the
@@ -310,4 +313,5 @@ class AnyOf(Condition):
             self.succeed(ConditionValue(
                 [member for member in self._events
                  if member._value is not _PENDING]))
-        self._prune()
+        check, self._checker = self._checker, None
+        self._prune(check)

@@ -14,7 +14,7 @@ class _InterruptEvent(Event):
         self._ok = False
         self._value = Interrupt(cause)
         self._defused = True
-        self.callbacks = [process._resume]
+        self.callbacks = [process._resumer]
         env.schedule(self, priority=PRIORITY_URGENT)
 
 
@@ -31,7 +31,7 @@ class Process(Event):
     yield point.
     """
 
-    __slots__ = ("_generator", "name", "_target")
+    __slots__ = ("_generator", "name", "_target", "_resumer", "__weakref__")
 
     def __init__(self, env, generator, name=None):
         if not hasattr(generator, "throw"):
@@ -41,10 +41,15 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         # The event the process currently waits on (None while resuming).
         self._target = None
+        # ``_resume`` bound once: every wait appends it, and an interrupt
+        # removes it by identity.  The cycle it makes through ``self`` is
+        # cut when the generator ends, so a finished process dies by
+        # reference count.
+        self._resumer = self._resume
         init = Event(env)
         init._ok = True
         init._value = None
-        init.callbacks = [self._resume]
+        init.callbacks = [self._resumer]
         env.schedule(init, priority=PRIORITY_URGENT)
 
     @property
@@ -75,7 +80,7 @@ class Process(Event):
         if self._target is not None and self._target is not event:
             if self._target.callbacks is not None:
                 try:
-                    self._target.callbacks.remove(self._resume)
+                    self._target.callbacks.remove(self._resumer)
                 except ValueError:
                     pass
         self._target = None
@@ -90,11 +95,13 @@ class Process(Event):
             except StopIteration as exc:
                 self._ok = True
                 self._value = exc.value
+                self._resumer = None
                 env.schedule(self)
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
+                self._resumer = None
                 env.schedule(self)
                 break
 
@@ -109,7 +116,7 @@ class Process(Event):
 
             if next_event.callbacks is not None:
                 # Event not yet processed: wait for it.
-                next_event.callbacks.append(self._resume)
+                next_event.callbacks.append(self._resumer)
                 self._target = next_event
                 break
             # Event already processed: loop around immediately with it.

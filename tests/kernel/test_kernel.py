@@ -152,3 +152,70 @@ def test_online_follows_the_hotplug_lifecycle():
     env.run(until=2 * MILLISECONDS)
     assert cpu.state is CpuState.OFFLINE and not cpu.online
     assert not cpu.offline_pending
+
+
+# -- Wake-path fast paths ----------------------------------------------------------
+
+
+def test_pinned_thread_is_placed_on_its_parking_cpu():
+    # A CPU asked to go offline is a last resort for wake placement, but
+    # the only CPU a pinned thread allows is still where it goes.
+    env = Environment()
+    kernel = Kernel(env)
+    for cpu_id in range(2):
+        kernel.add_cpu(cpu_id)
+    parking = kernel.cpus[1]
+    assert parking.request_offline() and parking.offline_pending
+    thread = kernel.spawn("pinned", iter(()), affinity={1})
+    assert thread in parking.runqueue.threads()
+
+
+def test_pinned_thread_on_an_offline_cpu_names_its_affinity():
+    env = Environment()
+    kernel = Kernel(env)
+    for cpu_id in range(2):
+        kernel.add_cpu(cpu_id)
+    kernel.offline_cpu(1)
+    env.run(until=1 * MILLISECONDS)
+    assert not kernel.cpus[1].online
+    with pytest.raises(RuntimeError, match=r"affinity frozenset\(\{1\}\)"):
+        kernel.spawn("pinned", iter(()), affinity={1})
+
+
+def test_finished_threads_and_processes_die_by_refcount():
+    """The cached wake callbacks (a thread's waker, a process's bound
+    ``_resume``) are dropped at exit, so with the cycle collector off a
+    finished thread and a finished process are freed at once."""
+    import gc
+    import weakref
+
+    from repro.kernel import WaitEvent
+
+    env = Environment()
+    kernel = Kernel(env)
+    kernel.add_cpu(0)
+    wake = env.timeout(5_000)
+
+    def body():
+        yield WaitEvent(wake)
+        yield Compute(1_000)
+
+    def proc():
+        yield env.timeout(2_000)
+        yield env.timeout(2_000)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        thread = kernel.spawn("t", body())
+        process = env.process(proc())
+        env.run(until=1 * MILLISECONDS)
+        assert thread.done.processed and not process.is_alive
+        assert thread.waker is None
+        thread_ref, process_ref = weakref.ref(thread), weakref.ref(process)
+        del thread, process
+        assert thread_ref() is None
+        assert process_ref() is None
+    finally:
+        if enabled:
+            gc.enable()

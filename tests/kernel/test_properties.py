@@ -1,5 +1,7 @@
 """Property-based tests of scheduler invariants."""
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,7 +149,8 @@ def _has_online(kernel, affinity, but=None):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 def test_affinity_index_answers_like_a_scan(steps):
     """After every step, each queue's "may give to CPU c" answer equals a
-    scan of its fair threads, and ``steal_work`` steals what a scan of
+    scan of its fair threads, the kernel-wide affinity counts equal the
+    queues' counts summed, and ``steal_work`` steals what a scan of
     every queued thread picks."""
     env = Environment()
     kernel = Kernel(env)
@@ -201,4 +204,10 @@ def test_affinity_index_answers_like_a_scan(steps):
             for cpu_id in range(N_CPUS):
                 assert cpu.runqueue.may_give(cpu_id) == any(
                     thread.can_run_on(cpu_id) for thread in fair)
+        # The kernel-wide counts are the queues' counts summed.
+        totals = Counter()
+        for cpu in cpus:
+            totals.update(thread.affinity
+                          for thread in _queued_fair(cpu.runqueue))
+        assert kernel.fair_affinities == dict(totals)
     assert kernel.steals == steals

@@ -29,6 +29,7 @@ from repro.virt.grant import BackingGrant
 #: Observer entry points: a soak with every observer off calls none.
 OBSERVERS = (
     (Tracer, "record"), (SpanTracker, "observe"), (SpanTracker, "attribute"),
+    (SpanTracker, "sched_in"), (SpanTracker, "sched_out"),
     (TelemetryBus, "tick"), (SketchChannel, "observe"),
     (TenancyManager, "may_back"), (TenancyManager, "choose"),
     (TenancyManager, "note_grant"), (TenancyManager, "tenant_of_cpu"),

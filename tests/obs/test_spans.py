@@ -15,6 +15,7 @@ from unittest import mock
 import pytest
 
 from repro.cp import device_mgmt
+from repro.hw import host
 from repro.metrics.timeline import TimelineEvent
 from repro.obs import check_events, observe, write_jsonl
 from repro.obs.analysis import (
@@ -205,14 +206,17 @@ def test_attribute_probe_irq_window_counts_as_ipi():
 
 def test_attribute_overlap_deeper_activity_wins():
     # DP service time [0, 1000) with an IPI in flight [200, 400): the
-    # IPI is deeper, so it claims its window.
+    # IPI is deeper, so it claims its window.  The executor hands the
+    # tracker the stint; a traced sched_out (here a stray one at 500) is
+    # not read, so it cannot cut the stint short.
     env, tracker = _tracker()
     tracker.register_dp_thread("dp-net0")
-    env.tracer.record(0, 0, "sched_in", thread="dp-net0")
+    tracker.sched_in(0, "dp-net0", 0)
     env.tracer.record(200, "-", "ipi_send", dst=0, vector="resched",
                       routed=False)
     env.tracer.record(400, 0, "ipi_deliver", vector="resched")
-    env.tracer.record(1000, 0, "sched_out", thread="dp-net0")
+    env.tracer.record(500, 0, "sched_out", thread="dp-net0")
+    tracker.sched_out(0, "dp-net0", 1000)
     parts = tracker.attribute(0, 0, 1000, "sched_delay")
     assert parts == [["queued_behind", 0, 200],
                      ["ipi_deliver", 200, 400],
@@ -376,12 +380,15 @@ def test_capture_round_trip_critical_path_and_waterfall(tmp_path):
     assert worst in waterfall and "critical path:" in waterfall
 
 
-def _taichi_soak():
-    """A 150 ms spans-on ``taichi`` soak with VM ids counted from 1, so
-    two soaks in one process name the same VMs alike."""
-    with mock.patch.object(device_mgmt, "_vm_ids", count(1)):
-        return run_soak(Scenario(arm="taichi"), seed=0,
-                        duration_ns=150 * MILLISECONDS,
+def _taichi_soak(workload=None, duration_ms=150):
+    """A spans-on ``taichi`` soak with both VM id counters (the CP
+    request's and the host's) counted from 1, so two soaks in one
+    process name the same VMs alike."""
+    with mock.patch.object(device_mgmt, "_vm_ids", count(1)), \
+            mock.patch.object(host, "_vm_seq", count(1)):
+        return run_soak(Scenario(arm="taichi", workload=workload or {}),
+                        seed=0,
+                        duration_ns=duration_ms * MILLISECONDS,
                         drain_ns=60 * MILLISECONDS, label="span-cost",
                         spans=True)
 
@@ -444,8 +451,10 @@ def test_spans_only_soak_pays_for_what_it_keeps(monkeypatch):
     assert 0 < len(attributed) < 0.01 * completed
     lean_observed = list(observed)
     assert lean_observed and set(lean_observed) <= _HANDLED_KINDS
-    # The per-kind gate: no site calls record for a kind nobody reads.
+    # The per-kind gate: no site calls record for a kind nobody reads,
+    # and thread stints reach the tracker from the executor instead.
     assert recorded and set(recorded) <= _HANDLED_KINDS
+    assert recorded.count("sched_in") == recorded.count("sched_out") == 0
     # Lazy DP roots: a Span only for a root that enters the reservoir;
     # a VM tree is a root and three phase children.
     assert 0 < built.count("dp_request") == ended.count("dp")
@@ -461,6 +470,33 @@ def test_spans_only_soak_pays_for_what_it_keeps(monkeypatch):
     handled = [kind for kind in observed if kind in _HANDLED_KINDS]
     assert lean_observed == handled
     assert len(observed) > len(handled)
+    assert json.dumps(traced, sort_keys=True) == \
+        json.dumps(lean, sort_keys=True)
+
+
+def test_spans_only_soak_with_vm_startups_matches_traced(monkeypatch):
+    """VMs start inside the window, so the watched-CP-thread path the
+    executor feeds (provisioning-thread stints) is exercised: the
+    spans-only summary, VM exemplars included, equals a traced one."""
+    vm_trees = []
+    vm_begin = SpanTracker.vm_begin
+
+    def counting_vm_begin(self, request):
+        vm_trees.append(request.vm_id)
+        return vm_begin(self, request)
+
+    monkeypatch.setattr(SpanTracker, "vm_begin", counting_vm_begin)
+    workload = {"vm_period_ms": 25}
+    lean = _taichi_soak(workload, duration_ms=100)
+    assert vm_trees and lean["vms_started"] > 0
+    records = lean["exemplars"]["vm"]
+    assert records
+    for record in records:
+        _assert_exact(record)
+        # Thread-running time is known only from the fed stints.
+        assert record["segments"].get("cp_execute", 0) > 0
+    with observe(trace=True):
+        traced = _taichi_soak(workload, duration_ms=100)
     assert json.dumps(traced, sort_keys=True) == \
         json.dumps(lean, sort_keys=True)
 

@@ -55,6 +55,39 @@ def test_unknown_knob_rejected_at_spec_time():
         Scenario.from_dict(retired)
 
 
+def test_bad_knob_values_fail_at_spec_time_naming_the_knob():
+    for knobs, message in (
+            ({"taichi_config": {"bogus": 1}},
+             r"knob 'taichi_config': unknown keys \['bogus'\]"),
+            ({"board_config": "x"},
+             r"knob 'board_config' must be a dict of BoardConfig fields, "
+             r"got str"),
+            ({"board_config": {"kernel": {"nope": 2}}},
+             r"knob 'board_config'.kernel: unknown keys \['nope'\]"),
+            ({"board_config": {"accelerator": 3}},
+             r"knob 'board_config'.accelerator must be a dict of "
+             r"AcceleratorParams fields, got int"),
+            ({"taichi_config": {"costs": {"zzz": 1}}},
+             r"knob 'taichi_config'.costs: unknown keys \['zzz'\]"),
+            ({"dp_params": [1]},
+             r"knob 'dp_params' must be a dict of DPServiceParams")):
+        with pytest.raises(ValueError, match=message):
+            Scenario(arm="taichi", knobs=knobs)
+        with pytest.raises(ValueError, match=message):
+            Scenario.from_dict({"arm": "taichi", "knobs": knobs})
+
+
+def test_good_knob_values_keep_their_serialised_form():
+    knobs = {"board_config": {"kernel": {"context_switch_ns": 1_000}},
+             "taichi_config": {"costs": {"vmexit_ns": 900}},
+             "dp_params": {"poll_ns": 150}}
+    scenario = Scenario(arm="taichi", knobs=knobs)
+    assert scenario.to_dict()["knobs"] == knobs
+    deployment = scenario.build(seed=0)
+    assert deployment.board.config.kernel.context_switch_ns == 1_000
+    assert deployment.taichi.config.costs.vmexit_ns == 900
+
+
 def test_fields_outside_the_spec_shape_are_named():
     for data, message in (
             ({"trace": True}, r"unknown keys \['trace'\]"),
