@@ -198,7 +198,14 @@ class DPService:
                         self._recent_waits.append(now - request.t_rx_ready)
                     if spans.enabled and request.span_id is not None:
                         spans.end_dp(request, self.cpu_id)
-                    cost = self._packet_cost(request)
+                    # Per-packet cost: service time times ``work_scale``,
+                    # taxed while a vCPU's cache/TLB pollution lasts.
+                    cost = int(request.service_ns * params.work_scale)
+                    if self._pollution_budget_ns > 0:
+                        self._pollution_budget_ns -= cost
+                        cost = int(cost * params.pollution_tax)
+                    if cost < 1:
+                        cost = 1
                     yield Compute(cost)
                     self.processing_ns += cost
                     self.packets_processed += 1
@@ -291,13 +298,6 @@ class DPService:
         if len(self.rx_stores) > 1:
             return AnyOf(self.env, [bell])
         return bell
-
-    def _packet_cost(self, request):
-        cost = int(request.service_ns * self.params.work_scale)
-        if self._pollution_budget_ns > 0:
-            self._pollution_budget_ns -= cost
-            cost = int(cost * self.params.pollution_tax)
-        return max(cost, 1)
 
     # -- Completion paths --------------------------------------------------------------
 

@@ -3,6 +3,8 @@
 import enum
 from itertools import count
 
+from repro.sim.events import _PENDING
+
 _packet_ids = count(1)
 
 
@@ -19,6 +21,11 @@ class IORequest:
     The timestamps mirror Figure 6's breakdown: driver doorbell, accelerator
     preprocessing start, deposit into the shared rx queue, DP software
     pickup, and completion.  Latency metrics are derived from these.
+
+    ``done``, the event the sender waits on, is taken off the request
+    when the request completes: the event then holds the request as its
+    value, and a request still holding the event would make a reference
+    cycle per packet, left for the cyclic garbage collector.
     """
 
     __slots__ = (
@@ -75,16 +82,21 @@ class IORequest:
 
     def complete(self, now_ns):
         self.t_done = now_ns
-        if self.done is not None and not self.done.triggered:
-            self.done.succeed(self)
+        done = self.done
+        if done is not None:
+            self.done = None
+            if done._value is _PENDING:
+                done.succeed(self)
 
     def deliver(self, event):
         """:meth:`complete` at ``event``'s time: the ``on_delivered``
         callback of the link transfer that finishes this request."""
         self.t_done = event.env.now
         done = self.done
-        if done is not None and not done.triggered:
-            done.succeed(self)
+        if done is not None:
+            self.done = None
+            if done._value is _PENDING:
+                done.succeed(self)
 
     def __repr__(self):
         return (

@@ -2,10 +2,11 @@
 
 This is a small, self-contained engine in the style of simpy: an
 :class:`~repro.sim.environment.Environment` owns a simulated clock (integer
-nanoseconds) and an event heap; *processes* are Python generators that yield
-events (timeouts, stores, conditions) and may be interrupted.  All higher
-layers (the kernel model, the virtualization model, the hardware model) are
-built from these primitives.
+nanoseconds), an event heap and a FIFO of events ready now; *processes*
+are Python generators that yield events (timeouts, stores, conditions)
+and may be interrupted.  All higher layers (the kernel model, the
+virtualization model, the hardware model) are built from these
+primitives.
 
 Quick example::
 

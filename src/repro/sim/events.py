@@ -2,8 +2,9 @@
 
 An :class:`Event` is a one-shot occurrence: it starts *pending*, is
 *triggered* exactly once (with a value or an exception), and after the
-environment pops it from the heap it becomes *processed* and its callbacks
-run.  Processes (see :mod:`repro.sim.process`) advance by yielding events.
+environment pops it from its queue (the ready FIFO, or the heap for a
+later time) it becomes *processed* and its callbacks run.  Processes
+(see :mod:`repro.sim.process`) advance by yielding events.
 
 All event classes use ``__slots__``: soaks create tens of millions of
 short-lived events and the per-instance ``__dict__`` was the single
@@ -69,12 +70,10 @@ class Event:
         self._ok = True
         self._value = value
         # Environment.schedule(self) inlined: every put, wake and
-        # completion succeeds an event.
+        # completion succeeds an event, and one ready now goes on the
+        # environment's ready FIFO, not the heap.
         env = self.env
-        queue = env._queue
-        heappush(queue, (env.now, PRIORITY_NORMAL, next(env._eid), self))
-        if len(queue) > env._heap_peak:
-            env._heap_peak = len(queue)
+        env._ready.append((env.now, PRIORITY_NORMAL, next(env._eid), self))
         return self
 
     def fail(self, exception):
@@ -139,11 +138,12 @@ class Timeout(Event):
         self._value = value
         self._defused = False
         self._delay = delay = int(delay)
-        queue = env._queue
-        heappush(queue, (env.now + delay, PRIORITY_NORMAL, next(env._eid),
-                         self))
-        if len(queue) > env._heap_peak:
-            env._heap_peak = len(queue)
+        if delay:
+            heappush(env._queue, (env.now + delay, PRIORITY_NORMAL,
+                                  next(env._eid), self))
+        else:
+            env._ready.append((env.now, PRIORITY_NORMAL, next(env._eid),
+                               self))
 
     @property
     def delay(self):

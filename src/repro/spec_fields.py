@@ -81,3 +81,9 @@ def check_name(owner, name, value):
         raise ValueError(
             f"{owner}: {name} must be a non-empty string, got {value!r}")
     return value
+
+
+#: The check for a scalar field, by its annotated type (or, for a
+#: constructor parameter, its default's type).
+SCALAR_CHECKS = {bool: check_bool, int: check_int, float: check_number,
+                 str: check_name}

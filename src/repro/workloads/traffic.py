@@ -2,6 +2,7 @@
 
 from repro.hw.packet import IORequest, PacketKind
 from repro.metrics import LatencyRecorder, RateMeter
+from repro.sim.events import Event, Timeout
 
 
 def service_queue_ids(deployment):
@@ -44,22 +45,23 @@ class OpenLoopSource:
         index = 0
         while env.now < deadline:
             gap = self.rng.exponential(1e9 / self.rate_pps)
-            yield env.timeout(max(int(gap), 1))
+            yield Timeout(env, max(int(gap), 1))
             queue_id = self._queues[index % len(self._queues)]
             index += 1
             request = IORequest(self.kind, self.size_bytes, queue_id,
                                 service_ns=self.service_ns)
             if self.measure_latency:
-                request.done = env.event()
-                request.done.callbacks.append(self._on_done)
+                done = request.done = Event(env)
+                done.callbacks.append(self._on_done)
             self.sent.add(env.now, self.size_bytes)
             accelerator.submit(request)
 
     def _on_done(self, event):
-        request = event.value
+        # ``deliver`` stamps ``t_done`` before it succeeds the event, and
+        # ``submit`` stamped ``t_submit``.
+        request = event._value
         self.delivered.add(self.env.now, request.size_bytes)
-        if request.total_latency_ns is not None:
-            self.latency.record(request.total_latency_ns)
+        self.latency.record(request.t_done - request.t_submit)
 
 
 class ClosedLoopClients:
@@ -103,7 +105,7 @@ class ClosedLoopClients:
         while env.now < deadline:
             txn_start = env.now
             for _ in range(self.packets_per_txn):
-                done = env.event()
+                done = Event(env)
                 request = IORequest(self.kind, self.size_bytes, queue_id,
                                     service_ns=self.service_ns, done=done)
                 accelerator.submit(request)
@@ -114,7 +116,7 @@ class ClosedLoopClients:
             if self.think_ns:
                 think = int(self.rng.exponential(self.think_ns))
                 if think:
-                    yield env.timeout(think)
+                    yield Timeout(env, think)
 
 
 class StorageClients:

@@ -7,7 +7,7 @@ import pytest
 from repro.baselines import DEPLOYMENTS
 from repro.core import TaiChiConfig
 from repro.faults import FaultPlan
-from repro.scenario import Scenario, WorkloadMix, load_scenario
+from repro.scenario import Scenario, WorkloadMix, build, load_scenario
 
 
 def test_defaults_are_a_valid_taichi_scenario():
@@ -75,6 +75,44 @@ def test_bad_knob_values_fail_at_spec_time_naming_the_knob():
             Scenario(arm="taichi", knobs=knobs)
         with pytest.raises(ValueError, match=message):
             Scenario.from_dict({"arm": "taichi", "knobs": knobs})
+
+
+def test_bad_scalar_knob_values_fail_at_spec_time_naming_the_field():
+    for arm, knobs, message in (
+            ("static", {"dp_kind": 7},
+             r"knobs: dp_kind must be a non-empty string, got 7"),
+            ("static", {"dp_cpu_ids": "abc"},
+             r"knobs: dp_cpu_ids must be a list of CPU ids, got 'abc'"),
+            ("static", {"dp_cpu_ids": [0, "1"]},
+             r"knobs: dp_cpu_ids must be an integer, got '1'"),
+            ("taichi-vdp", {"guest_tax": "high"},
+             r"knobs: guest_tax must be a finite number, got 'high'"),
+            ("type2", {"rpc_extra_ns": 1.5},
+             r"knobs: rpc_extra_ns must be an integer, got 1.5"),
+            ("static", {"dp_params": {"burst": "many"}},
+             r"knob 'dp_params': burst must be an integer, got 'many'"),
+            ("taichi", {"taichi_config": {"adaptive_slice": "false"}},
+             r"knob 'taichi_config': adaptive_slice must be true or false"),
+            ("taichi", {"taichi_config": {"costs": {"guest_work_tax": "x"}}},
+             r"knob 'taichi_config'.costs: guest_work_tax must be a finite"),
+            ("static", {"board_config": {"kernel": {"cpu_boot_ns": 2.5}}},
+             r"knob 'board_config'.kernel: cpu_boot_ns must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            Scenario(arm=arm, knobs=knobs)
+        with pytest.raises(ValueError, match=message):
+            Scenario.from_dict({"arm": arm, "knobs": knobs})
+    with pytest.raises(ValueError, match=r"knobs: dp_boost must be an integer"):
+        build("taichi", dp_boost="2")
+
+
+def test_good_scalar_knob_values_keep_their_serialised_form():
+    knobs = {"dp_kind": "storage", "dp_cpu_ids": [0, 1, 2, 3],
+             "guest_tax": 1, "dp_params": {"work_scale": 2, "burst": 8}}
+    scenario = Scenario(arm="taichi-vdp", knobs=knobs)
+    assert scenario.to_dict()["knobs"] == knobs
+    deployment = scenario.build(seed=0)
+    assert [service.cpu_id for service in deployment.services] == [0, 1, 2, 3]
+    assert deployment.dp_params.burst == 8
 
 
 def test_good_knob_values_keep_their_serialised_form():
