@@ -39,7 +39,7 @@ class DPService:
         self.rx_stores = [board.accelerator.queue_store(q) for q in self.queue_ids]
         for store in self.rx_stores:
             store.consumer = self
-        self._device_rng = board.rng.stream(f"device-{name}")
+        self._device_draws = board.rng.exponentials(f"device-{name}")
 
         # Idle notification target (Tai Chi's software workload probe); the
         # static baseline leaves this unset, mirroring the <10-line
@@ -212,6 +212,9 @@ class DPService:
                     self._finish_packet(request)
                 continue
 
+            # Idle: drop the last packet so the frame does not keep it
+            # (and a storage completion's payload) alive while it waits.
+            batch = request = None
             arrival = self._arrival_event()
             control = Event(env)
             self._control_event = control
@@ -319,7 +322,7 @@ class DPService:
     def _start_device_io(self, request):
         """Submit to the storage device; completion re-enters the rx queue."""
         env = self.env
-        device_ns = int(self._device_rng.exponential(self.params.storage_device_ns))
+        device_ns = int(self._device_draws.draw(self.params.storage_device_ns))
         store = self.rx_stores[0]
         completion = IORequest(
             PacketKind.STORAGE_COMPLETE,

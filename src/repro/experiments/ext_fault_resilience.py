@@ -48,6 +48,7 @@ def _resilient_run(duration_ns, seed, plan, degradation_on):
     probe_latency = LatencyRecorder(name="tenant-probe")
 
     def latency_probe():
+        # A scalar stream: integers and exponentials mix on it.
         rng = deployment.rng.stream("resilience-probe")
         while True:
             queue = int(rng.integers(0, 8))
@@ -63,6 +64,7 @@ def _resilient_run(duration_ns, seed, plan, degradation_on):
     env.process(latency_probe(), name="latency-probe")
 
     def storm_source():
+        # A scalar stream: exponential gaps and integer batch sizes.
         rng = deployment.rng.stream("resilience-storms")
         while True:
             yield env.timeout(int(rng.exponential(75 * MILLISECONDS)))

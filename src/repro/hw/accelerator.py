@@ -68,9 +68,10 @@ class Accelerator:
     def submit(self, request):
         """Accept a request from the driver side (stage 1 of Figure 6)."""
         queue_id = request.queue_id
-        if queue_id not in self._queues:
+        entry = self._queues.get(queue_id)
+        if entry is None:
             raise KeyError(f"unknown queue {queue_id!r}")
-        store, dst_cpu_id = self._queues[queue_id]
+        store, dst_cpu_id = entry
         env = self.env
         now = env.now
         if request.t_submit is None:
@@ -86,10 +87,13 @@ class Accelerator:
         # Claim the earliest-free pipeline engine.
         params = self.params
         free_at, engine = self._engines[0]
-        start = max(now, free_at, self.stall_until_ns)
-        heapreplace(self._engines, (start + params.preprocess_ns, engine))
+        start = free_at if free_at > now else now
+        if self.stall_until_ns > start:
+            start = self.stall_until_ns
+        preprocessed_at = start + params.preprocess_ns
+        heapreplace(self._engines, (preprocessed_at, engine))
         request.t_accel_start = start
-        ready_at = start + params.preprocess_ns + params.transfer_ns
+        ready_at = preprocessed_at + params.transfer_ns
 
         inflight = self._inflight
         inflight[queue_id] = inflight.get(queue_id, 0) + 1

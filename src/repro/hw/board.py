@@ -64,7 +64,7 @@ class SmartNIC:
         self.nic_port = Link(
             env, f"{name}-port", self.config.nic_bandwidth_gbps,
             self.config.wire_latency_ns,
-            jitter_rng=self.rng.stream("wire-jitter"),
+            jitter=self.rng.exponentials("wire-jitter"),
             jitter_ns=self.config.wire_jitter_ns,
         )
 

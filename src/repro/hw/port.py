@@ -2,9 +2,6 @@
 
 from repro.sim.events import Timeout
 
-#: Wire-jitter draws taken from the generator at a time.
-_JITTER_BLOCK = 256
-
 
 class Link:
     """A serializing link with propagation latency.
@@ -14,13 +11,12 @@ class Link:
     the caller schedules whatever happens at the far end, or passes an
     ``on_delivered(event)`` callback that the delivery timeout runs.
 
-    Wire jitter is exponential with mean ``jitter_ns``, drawn
-    ``_JITTER_BLOCK`` at a time: ``jitter_ns * standard_exponential()``
-    is ``exponential(jitter_ns)`` draw for draw, and the link is its
-    generator's only reader, so a block gives the same jitter sequence.
+    Wire jitter is exponential with mean ``jitter_ns``, taken from
+    ``jitter`` (an :class:`~repro.sim.rng.ExponentialDraws`, or ``None``
+    for no jitter).
     """
 
-    def __init__(self, env, name, bandwidth_gbps, latency_ns, jitter_rng=None,
+    def __init__(self, env, name, bandwidth_gbps, latency_ns, jitter=None,
                  jitter_ns=0):
         if bandwidth_gbps <= 0:
             raise ValueError("bandwidth must be positive")
@@ -29,8 +25,7 @@ class Link:
         self.bandwidth_gbps = float(bandwidth_gbps)
         self.latency_ns = int(latency_ns)
         self.jitter_ns = int(jitter_ns)
-        self._jitter_rng = jitter_rng
-        self._jitter = []          # undrawn jitter of the current block
+        self._jitter = jitter if self.jitter_ns > 0 else None
         self._next_free_ns = 0
         self.transfers = 0
         self.bytes_moved = 0
@@ -41,15 +36,9 @@ class Link:
         start = max(now, self._next_free_ns)
         ser = int(size_bytes * 8 / self.bandwidth_gbps)
         self._next_free_ns = start + ser
-        jitter = 0
-        if self._jitter_rng is not None and self.jitter_ns > 0:
-            block = self._jitter
-            if not block:
-                block = self._jitter = (
-                    self.jitter_ns * self._jitter_rng.standard_exponential(
-                        size=_JITTER_BLOCK))[::-1].tolist()
-            jitter = int(block.pop())
-        deliver_at = start + ser + self.latency_ns + jitter
+        deliver_at = start + ser + self.latency_ns
+        if self._jitter is not None:
+            deliver_at += int(self._jitter.draw(self.jitter_ns))
         self.transfers += 1
         self.bytes_moved += size_bytes
         if on_delivered is not None:

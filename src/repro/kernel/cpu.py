@@ -455,9 +455,8 @@ class CPU:
                     remaining = thread.remaining_ns
                 else:
                     try:
-                        if thread.started and hasattr(thread.body, "send"):
-                            instruction = thread.body.send(
-                                thread.pending_result)
+                        if thread.started and thread.send is not None:
+                            instruction = thread.send(thread.pending_result)
                         else:
                             # First advance, or a plain iterator body.
                             thread.started = True

@@ -20,6 +20,8 @@ class KThread:
     Attributes:
         name: human-readable identifier.
         body: generator yielding :mod:`~repro.kernel.instructions` objects.
+        send: ``body.send``, bound once, or ``None`` for a plain iterator
+            body (advanced with ``next`` only).
         affinity: frozenset of CPU ids the thread may run on (``None`` =
             any).  Replaced, never mutated: run queues and wake placement
             key on it.
@@ -27,7 +29,7 @@ class KThread:
         nice_weight: CFS weight; higher weight accrues vruntime more slowly.
     """
 
-    __slots__ = ("tid", "name", "body", "affinity", "sched_class",
+    __slots__ = ("tid", "name", "body", "send", "affinity", "sched_class",
                  "nice_weight", "state", "cpu", "last_cpu", "vruntime",
                  "total_runtime_ns", "wait_since_ns", "exit_value",
                  "current_instruction", "remaining_ns", "pending_result",
@@ -39,6 +41,7 @@ class KThread:
         self.tid = next(_thread_ids)
         self.name = name
         self.body = body
+        self.send = getattr(body, "send", None)
         self.affinity = frozenset(affinity) if affinity is not None else None
         self.sched_class = sched_class if sched_class is not None else SchedClass.FAIR
         self.nice_weight = float(nice_weight)

@@ -322,6 +322,8 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
             if book is not pooled:
                 book.record(latency_ns)
 
+        # A scalar stream: it draws a queue index (integers) and a gap
+        # (exponential) per probe.
         rng = deployment.rng.stream(load.stream("probe"))
         period_ns = load.mix.probe_period_us * MICROSECONDS
         queues = load.probe_queues
@@ -335,6 +337,7 @@ def run_soak(scenario, seed=0, duration_ns=400 * MILLISECONDS,
             yield env.timeout(int(rng.exponential(period_ns)))
 
     def storm_source(load):
+        # A scalar stream: exponential gaps and integer batch sizes.
         rng = deployment.rng.stream(load.stream("storms"))
         mix = load.mix
         period_ns = mix.vm_period_ms * MILLISECONDS

@@ -5,17 +5,30 @@ from repro.sim.events import Event, PRIORITY_URGENT, _PENDING
 
 
 class _InterruptEvent(Event):
-    """Internal urgent event used to deliver an interrupt to a process."""
+    """Internal urgent event used to deliver an interrupt to a process.
 
-    __slots__ = ()
+    An interrupt whose process has finished by the time it is delivered
+    is dropped (as in SimPy): two interrupts issued at one instant to a
+    process that returns after catching the first must not throw the
+    second into a finished generator.
+    """
+
+    __slots__ = ("_process",)
 
     def __init__(self, env, process, cause):
         super().__init__(env)
         self._ok = False
         self._value = Interrupt(cause)
         self._defused = True
-        self.callbacks = [process._resumer]
+        self._process = process
+        self.callbacks = [_deliver_interrupt]
         env.schedule(self, priority=PRIORITY_URGENT)
+
+
+def _deliver_interrupt(event):
+    process = event._process
+    if process._value is _PENDING:
+        process._resume(event)
 
 
 class Process(Event):

@@ -2,7 +2,7 @@
 
 from collections import deque
 
-from repro.sim.events import Event, _PENDING
+from repro.sim.events import Event, PRIORITY_NORMAL, _PENDING
 
 
 class StorePut(Event):
@@ -77,9 +77,13 @@ class Store:
             return event
         # Fast path, the common case on packet queues: nobody waits and
         # there is room, so the item is accepted at once.  Same order as
-        # ``_dispatch``: the put succeeds, then the consumer's bell rings.
+        # ``_dispatch``: the put succeeds (``succeed()`` inlined: the
+        # event is new, so it is pending), then the consumer's bell rings.
         items.append(item)
-        event.succeed()
+        event._ok = True
+        event._value = None
+        env = self.env
+        env._ready.append((env.now, PRIORITY_NORMAL, next(env._eid), event))
         consumer = self.consumer
         if consumer is not None:
             bell = consumer._bell

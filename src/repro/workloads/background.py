@@ -31,6 +31,11 @@ def start_dp_background(deployment, utilization=0.30, duration_ns=None,
     Multi-tenant boards pass ``queues`` (the tenant's own rx queues),
     a distinguishing ``label`` and the owning ``tenant`` id; the defaults
     reproduce the single-tenant behavior exactly.
+
+    ``rng`` stays a scalar generator (``RandomStreams.stream``): it draws
+    a uniform per burst and an exponential per packet, and every queue's
+    source shares it, so exponentials drawn ahead in a block would shift
+    the uniforms.
     """
     env = deployment.env
     rng = rng or deployment.rng.stream("dp-background")
@@ -74,6 +79,9 @@ def start_cp_background(deployment, n_monitors=4, rolling_tasks=4,
     Multi-tenant boards pass the tenant's ``affinity`` (its own vCPUs
     plus the shared CP pCPUs) and a per-tenant ``name_prefix``; defaults
     reproduce the single-tenant behavior exactly.
+
+    ``rng`` stays a scalar generator: the CP task bodies draw uniforms,
+    lognormals and exponentials from it between the rollers' gaps.
     """
     env = deployment.env
     rng = rng or deployment.rng.stream("cp-background")

@@ -22,7 +22,7 @@ def run_mysql(deployment, duration_ns, n_threads=192, window_ns=None):
     env = deployment.env
     queues = service_queue_ids(deployment)
     accelerator = deployment.board.accelerator
-    rng = deployment.rng.stream("mysql")
+    draw = deployment.rng.exponentials("mysql").draw
     queries = RateMeter("queries")
     window_ns = window_ns or max(duration_ns // 10, 1)
     window_counts = []
@@ -52,7 +52,7 @@ def run_mysql(deployment, duration_ns, n_threads=192, window_ns=None):
                                     service_ns=QUERY_PKT_SERVICE_NS, done=done)
                 accelerator.submit(request)
                 yield done
-                host = int(rng.exponential(HOST_QUERY_NS))
+                host = int(draw(HOST_QUERY_NS))
                 if host:
                     yield env.timeout(host)
                 done = env.event()

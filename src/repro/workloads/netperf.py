@@ -25,7 +25,7 @@ def run_udp_stream(deployment, duration_ns, n_connections=64, rate_pps=None):
     source = OpenLoopSource(deployment, rate, size_bytes=1400,
                             service_ns=STREAM_PKT_SERVICE_NS,
                             kind=PacketKind.NET_RX,
-                            rng=deployment.rng.stream("udp-stream"))
+                            draws=deployment.rng.exponentials("udp-stream"))
     source.start(duration_ns)
     deployment.run(deployment.env.now + duration_ns + 200 * MICROSECONDS)
     return {
@@ -45,11 +45,11 @@ def run_tcp_stream(deployment, duration_ns, n_connections=64, rate_pps=None):
     tx = OpenLoopSource(deployment, rate, size_bytes=1448,
                         service_ns=STREAM_PKT_SERVICE_NS,
                         kind=PacketKind.NET_TX,
-                        rng=deployment.rng.stream("tcp-stream-tx"))
+                        draws=deployment.rng.exponentials("tcp-stream-tx"))
     # ACK stream: roughly one ACK per two data segments, cheap to process.
     rx = OpenLoopSource(deployment, rate / 2, size_bytes=64,
                         service_ns=600, kind=PacketKind.NET_RX,
-                        rng=deployment.rng.stream("tcp-stream-rx"),
+                        draws=deployment.rng.exponentials("tcp-stream-rx"),
                         measure_latency=False)
     tx.start(duration_ns)
     rx.start(duration_ns)
@@ -68,7 +68,7 @@ def run_tcp_rr(deployment, duration_ns, n_connections=1024):
     clients = ClosedLoopClients(
         deployment, n_clients=n_connections, packets_per_txn=2,
         size_bytes=128, service_ns=RR_PKT_SERVICE_NS,
-        rng=deployment.rng.stream("tcp-rr"),
+        draws=deployment.rng.exponentials("tcp-rr"),
     )
     clients.start(duration_ns)
     deployment.run(deployment.env.now + duration_ns)
@@ -88,7 +88,7 @@ def run_tcp_crr(deployment, duration_ns, n_connections=256):
     clients = ClosedLoopClients(
         deployment, n_clients=n_connections, packets_per_txn=4,
         size_bytes=128, service_ns=CRR_PKT_SERVICE_NS,
-        rng=deployment.rng.stream("tcp-crr"),
+        draws=deployment.rng.exponentials("tcp-crr"),
     )
     clients.start(duration_ns)
     deployment.run(deployment.env.now + duration_ns)

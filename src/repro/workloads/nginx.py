@@ -24,7 +24,7 @@ def run_nginx(deployment, duration_ns, n_connections=10_000, protocol="http",
     env = deployment.env
     queues = service_queue_ids(deployment)
     accelerator = deployment.board.accelerator
-    rng = deployment.rng.stream(f"nginx-{protocol}")
+    draw = deployment.rng.exponentials(f"nginx-{protocol}").draw
     requests = RateMeter("requests")
     n_clients = min(n_connections, max_clients)
     handshake = HTTPS_HANDSHAKE_PKTS if protocol == "https" else 0
@@ -43,7 +43,7 @@ def run_nginx(deployment, duration_ns, n_connections=10_000, protocol="http",
                 PacketKind.NET_RX, 256, queue_id,
                 service_ns=HTTP_PKT_SERVICE_NS, done=done))
             yield done
-            host = int(rng.exponential(HOST_SERVE_NS))
+            host = int(draw(HOST_SERVE_NS))
             if host:
                 yield env.timeout(host)
             done = env.event()

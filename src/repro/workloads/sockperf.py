@@ -13,7 +13,7 @@ def run_sockperf_tcp(deployment, duration_ns, n_connections=1024):
     clients = ClosedLoopClients(
         deployment, n_clients=n_connections, packets_per_txn=3,
         size_bytes=256, service_ns=SHORT_CONN_PKT_SERVICE_NS,
-        rng=deployment.rng.stream("sockperf-tcp"),
+        draws=deployment.rng.exponentials("sockperf-tcp"),
     )
     clients.start(duration_ns)
     deployment.run(deployment.env.now + duration_ns)
@@ -32,7 +32,8 @@ def run_sockperf_udp(deployment, duration_ns, rate_pps=20_000):
     """UDP latency probe: moderate-rate stream, avg/p99/p999 latencies."""
     source = OpenLoopSource(
         deployment, rate_pps, size_bytes=64, service_ns=UDP_PING_SERVICE_NS,
-        kind=PacketKind.NET_TX, rng=deployment.rng.stream("sockperf-udp"),
+        kind=PacketKind.NET_TX,
+        draws=deployment.rng.exponentials("sockperf-udp"),
     )
     source.start(duration_ns)
     deployment.run(deployment.env.now + duration_ns + 500 * MICROSECONDS)

@@ -15,18 +15,20 @@ class OpenLoopSource:
 
     Suitable for *_stream benchmarks: the offered load is independent of
     completions, so saturation shows up as queueing/drops-in-latency rather
-    than reduced offered rate.
+    than reduced offered rate.  Gaps are exponential, taken from
+    ``draws`` (an :class:`~repro.sim.rng.ExponentialDraws`; the
+    ``open-loop`` stream by default).
     """
 
     def __init__(self, deployment, rate_pps, size_bytes, service_ns,
-                 kind=PacketKind.NET_TX, rng=None, measure_latency=True):
+                 kind=PacketKind.NET_TX, draws=None, measure_latency=True):
         self.deployment = deployment
         self.env = deployment.env
         self.rate_pps = float(rate_pps)
         self.size_bytes = size_bytes
         self.service_ns = service_ns
         self.kind = kind
-        self.rng = rng or deployment.rng.stream("open-loop")
+        self.draws = draws or deployment.rng.exponentials("open-loop")
         self.measure_latency = measure_latency
         self.latency = LatencyRecorder(name="open-loop-latency")
         self.sent = RateMeter("sent")
@@ -40,21 +42,27 @@ class OpenLoopSource:
 
     def _run(self, duration_ns):
         env = self.env
-        accelerator = self.deployment.board.accelerator
+        submit = self.deployment.board.accelerator.submit
+        draw = self.draws.draw
+        mean_gap_ns = 1e9 / self.rate_pps
+        queues = self._queues
+        n_queues = len(queues)
+        kind, size_bytes, service_ns = self.kind, self.size_bytes, self.service_ns
+        on_done = self._on_done if self.measure_latency else None
+        add_sent = self.sent.add
         deadline = env.now + duration_ns
         index = 0
         while env.now < deadline:
-            gap = self.rng.exponential(1e9 / self.rate_pps)
-            yield Timeout(env, max(int(gap), 1))
-            queue_id = self._queues[index % len(self._queues)]
+            gap = int(draw(mean_gap_ns))
+            yield Timeout(env, gap if gap > 1 else 1)
+            request = IORequest(kind, size_bytes, queues[index % n_queues],
+                                service_ns)
             index += 1
-            request = IORequest(self.kind, self.size_bytes, queue_id,
-                                service_ns=self.service_ns)
-            if self.measure_latency:
+            if on_done is not None:
                 done = request.done = Event(env)
-                done.callbacks.append(self._on_done)
-            self.sent.add(env.now, self.size_bytes)
-            accelerator.submit(request)
+                done.callbacks.append(on_done)
+            add_sent(env.now, size_bytes)
+            submit(request)
 
     def _on_done(self, event):
         # ``deliver`` stamps ``t_done`` before it succeeds the event, and
@@ -68,12 +76,15 @@ class ClosedLoopClients:
     """N clients each running transactions back-to-back (netperf rr style).
 
     A transaction is ``packets_per_txn`` sequential request/complete
-    round-trips plus an optional think time.  Throughput is then bounded by
-    whichever saturates first: client concurrency or DP CPU capacity.
+    round-trips plus an optional think time, exponential with mean
+    ``think_ns`` and taken from ``draws`` (an
+    :class:`~repro.sim.rng.ExponentialDraws`; the ``closed-loop`` stream
+    by default).  Throughput is then bounded by whichever saturates
+    first: client concurrency or DP CPU capacity.
     """
 
     def __init__(self, deployment, n_clients, packets_per_txn, size_bytes,
-                 service_ns, kind=PacketKind.NET_TX, think_ns=0, rng=None):
+                 service_ns, kind=PacketKind.NET_TX, think_ns=0, draws=None):
         self.deployment = deployment
         self.env = deployment.env
         self.n_clients = int(n_clients)
@@ -82,7 +93,7 @@ class ClosedLoopClients:
         self.service_ns = service_ns
         self.kind = kind
         self.think_ns = int(think_ns)
-        self.rng = rng or deployment.rng.stream("closed-loop")
+        self.draws = draws or deployment.rng.exponentials("closed-loop")
         self.transactions = RateMeter("transactions")
         self.packets = RateMeter("packets")
         self.txn_latency = LatencyRecorder(name="txn-latency")
@@ -99,22 +110,26 @@ class ClosedLoopClients:
         return self._procs
 
     def _client(self, client_index, deadline):
+        # What the per-packet loop reads is bound once.  Per-transaction
+        # reads stay attribute reads: a client's frame lives for the whole
+        # run, and a case runs up to 1,024 clients.
         env = self.env
-        accelerator = self.deployment.board.accelerator
+        submit = self.deployment.board.accelerator.submit
         queue_id = self._queues[client_index % len(self._queues)]
+        kind, size_bytes, service_ns = self.kind, self.size_bytes, self.service_ns
+        add_packet = self.packets.add
         while env.now < deadline:
             txn_start = env.now
             for _ in range(self.packets_per_txn):
                 done = Event(env)
-                request = IORequest(self.kind, self.size_bytes, queue_id,
-                                    service_ns=self.service_ns, done=done)
-                accelerator.submit(request)
+                submit(IORequest(kind, size_bytes, queue_id, service_ns,
+                                 None, None, done))
                 yield done
-                self.packets.add(env.now, self.size_bytes)
+                add_packet(env.now, size_bytes)
             self.transactions.add(env.now)
             self.txn_latency.record(env.now - txn_start)
             if self.think_ns:
-                think = int(self.rng.exponential(self.think_ns))
+                think = int(self.draws.draw(self.think_ns))
                 if think:
                     yield Timeout(env, think)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw import Link
-from repro.sim import Environment
+from repro.sim import Environment, RandomStreams
 
 
 def test_transfer_time_includes_serialization_and_latency():
@@ -46,38 +46,35 @@ def test_statistics():
 
 
 def test_jitter_adds_nonnegative_delay():
-    import numpy as np
-
     env = Environment()
     link = Link(env, "l", bandwidth_gbps=8.0, latency_ns=100,
-                jitter_rng=np.random.default_rng(0), jitter_ns=50)
+                jitter=RandomStreams(0).exponentials("jitter"), jitter_ns=50)
     deliveries = [link.transfer(8) for _ in range(20)]
     base = 8 * 8 / 8.0  # serialization
     assert all(d >= base + 100 for d in deliveries)
 
 
 def test_block_jitter_draws_equal_scalar_draws():
-    """Jitter comes from blocks of ``standard_exponential``; 10,000 draws
-    equal 10,000 scalar ``exponential(jitter_ns)`` draws from the same
-    seed, on their own and through a link."""
-    import numpy as np
-
+    """Jitter comes from an ``ExponentialDraws``; 10,000 transfers see
+    10,000 scalar ``exponential(jitter_ns)`` draws of the same stream."""
     jitter_ns, n = 600, 10_000
-    scalar = np.random.default_rng(7)
+    scalar = RandomStreams(7).stream("wire-jitter")
     expected = [int(scalar.exponential(jitter_ns)) for _ in range(n)]
-
-    blocked = np.random.default_rng(7)
-    drawn = []
-    while len(drawn) < n:
-        drawn.extend(int(value) for value in (
-            jitter_ns * blocked.standard_exponential(size=256)).tolist())
-    assert drawn[:n] == expected
 
     env = Environment()
     link = Link(env, "l", bandwidth_gbps=8.0, latency_ns=100,
-                jitter_rng=np.random.default_rng(7), jitter_ns=jitter_ns)
+                jitter=RandomStreams(7).exponentials("wire-jitter"),
+                jitter_ns=jitter_ns)
     jitters = []
     for _ in range(n):
         start = max(env.now, link._next_free_ns)
         jitters.append(link.transfer(8) - start - 8 - 100)
     assert jitters == expected
+
+
+def test_zero_jitter_draws_nothing():
+    draws = RandomStreams(7).exponentials("wire-jitter")
+    link = Link(Environment(), "l", bandwidth_gbps=8.0, latency_ns=100,
+                jitter=draws, jitter_ns=0)
+    assert link.transfer(8) == 8 + 100
+    assert draws._block == []

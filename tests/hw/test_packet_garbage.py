@@ -81,8 +81,33 @@ def test_delivered_request_and_done_die_by_refcount(no_gc, dp_kind, kind):
     done = send(request)
     assert done.processed and done.value is request
     assert request.done is None
-    # The DP loop holds the last packet it served until its next batch.
+    # A follower through the same service; without one the request dies
+    # too (test_idle_service_lets_its_last_request_die).
     send(IORequest(kind, 256, queue_id, service_ns=1_500, done=Event(env)))
+    refs = weakref.ref(request), weakref.ref(done)
+    del request, done
+    assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("dp_kind, kind", [
+    ("net", PacketKind.NET_TX),
+    ("net", PacketKind.NET_RX),
+    ("storage", PacketKind.STORAGE_SUBMIT),
+])
+def test_idle_service_lets_its_last_request_die(no_gc, dp_kind, kind):
+    """No follower packet: the DP loop drops its last packet (for storage,
+    the completion whose payload is the request) before it waits idle."""
+    deployment = build("static", seed=0, dp_kind=dp_kind)
+    deployment.warmup()
+    env = deployment.env
+    queue_id = deployment.services[0].queue_ids[0]
+    request = _Request(kind, 256, queue_id, service_ns=1_500,
+                       done=_Done(env))
+    done = request.done
+    deployment.board.accelerator.submit(request)
+    env.run(until=done)
+    env.run(until=env.now + 10 * MICROSECONDS)
+    assert deployment.services[0].packets_processed > 0
     refs = weakref.ref(request), weakref.ref(done)
     del request, done
     assert [ref() for ref in refs] == [None, None]

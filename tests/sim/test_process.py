@@ -80,6 +80,58 @@ def test_interrupted_process_can_keep_waiting():
     assert log == [("interrupted", 40), ("done", 100)]
 
 
+def test_second_same_instant_interrupt_to_a_finished_process_is_dropped():
+    """Two interrupts issued at one instant; the victim returns after
+    catching the first.  The second finds it finished and is dropped:
+    it must not be thrown into the finished generator, and the process
+    event must be scheduled once."""
+    env = Environment()
+    caught = []
+
+    def victim(env):
+        try:
+            yield env.timeout(10)
+        except Interrupt as interrupt:
+            caught.append((interrupt.cause, env.now))
+        return "done"
+
+    def attacker(env, target):
+        yield env.timeout(1)
+        target.interrupt("a")
+        target.interrupt("b")
+
+    target = env.process(victim(env))
+    env.process(attacker(env, target))
+    env.run()
+    assert caught == [("a", 1)]
+    assert target.value == "done"
+    assert env.profile()["heap_pending"] == 0
+
+
+def test_two_interrupts_to_a_live_process_arrive_in_order():
+    env = Environment()
+    caught = []
+
+    def victim(env):
+        while len(caught) < 2:
+            try:
+                yield env.timeout(10)
+            except Interrupt as interrupt:
+                caught.append((interrupt.cause, env.now))
+        return "done"
+
+    def attacker(env, target):
+        yield env.timeout(1)
+        target.interrupt("a")
+        target.interrupt("b")
+
+    target = env.process(victim(env))
+    env.process(attacker(env, target))
+    env.run()
+    assert caught == [("a", 1), ("b", 1)]
+    assert target.value == "done"
+
+
 def test_interrupt_terminated_process_rejected():
     env = Environment()
 

@@ -1,6 +1,11 @@
 """Tests for seeded random streams."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim import RandomStreams, derive_seed
+from repro.sim.rng import EXPONENTIAL_BLOCK
 
 
 def test_same_seed_same_stream():
@@ -69,3 +74,61 @@ def test_derive_seed_in_range():
     for path in ([], ["x"], ["deep", "er", 3]):
         value = derive_seed(12345, *path)
         assert 0 <= value < 2**63
+
+
+_scales = st.one_of(
+    st.integers(min_value=1, max_value=10**12),
+    st.floats(min_value=1e-6, max_value=1e12, allow_nan=False,
+              allow_infinity=False),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    scales=st.lists(_scales, min_size=1, max_size=4),
+    n_draws=st.integers(min_value=0, max_value=3 * EXPONENTIAL_BLOCK + 7),
+    readers=st.lists(st.integers(min_value=0, max_value=1), min_size=1,
+                     max_size=64),
+)
+def test_block_draws_equal_scalar_draws(seed, scales, n_draws, readers):
+    """Blocked draws are ``Generator.exponential`` draw for draw: int and
+    float scales, the scale varying between draws, counts across block
+    boundaries, and two readers of one name interleaving (``readers``
+    gives, cyclically, which of the two takes each draw)."""
+    scalar = RandomStreams(seed).stream("gaps")
+    streams = RandomStreams(seed)
+    pair = (streams.exponentials("gaps"), streams.exponentials("gaps"))
+    expected, drawn = [], []
+    for index in range(n_draws):
+        scale = scales[index % len(scales)]
+        expected.append(scalar.exponential(scale))
+        drawn.append(pair[readers[index % len(readers)]].draw(scale))
+    assert drawn == expected
+
+
+def test_exponentials_is_shared_per_name():
+    streams = RandomStreams(seed=3)
+    assert streams.exponentials("q") is streams.exponentials("q")
+    assert streams.exponentials("q") is not streams.exponentials("r")
+
+
+def test_exponentials_keep_other_streams_unperturbed():
+    streams = RandomStreams(seed=9)
+    streams.exponentials("gaps").draw(5.0)
+    assert list(streams.stream("x").random(5)) == list(
+        RandomStreams(seed=9).stream("x").random(5))
+
+
+def test_stream_after_exponentials_names_the_stream():
+    streams = RandomStreams(seed=1)
+    streams.exponentials("udp-stream")
+    with pytest.raises(ValueError, match="'udp-stream'"):
+        streams.stream("udp-stream")
+
+
+def test_exponentials_after_stream_names_the_stream():
+    streams = RandomStreams(seed=1)
+    streams.stream("dp-background")
+    with pytest.raises(ValueError, match="'dp-background'"):
+        streams.exponentials("dp-background")
