@@ -24,7 +24,7 @@ from repro.hw.host import HostNode, VMSpec
 from repro.hw.packet import IORequest, PacketKind
 from repro.metrics import LatencyRecorder
 from repro.scenario import build
-from repro.sim.units import MICROSECONDS, MILLISECONDS, SECONDS
+from repro.sim.units import MICROSECONDS, MILLISECONDS
 from repro.workloads.background import start_cp_background, start_dp_background
 
 _BASE_DURATION_NS = 900 * MILLISECONDS

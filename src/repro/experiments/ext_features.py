@@ -19,7 +19,7 @@ from repro.experiments.report import ExperimentResult
 from repro.hw.packet import IORequest, PacketKind
 from repro.kernel import Compute, Kernel, KernelSection, SchedClass, Sleep, Syscall
 from repro.scenario import build
-from repro.sim import Environment, MICROSECONDS, MILLISECONDS, SECONDS
+from repro.sim import Environment, MICROSECONDS, MILLISECONDS
 from repro.virt import VMExitReason
 from repro.workloads import run_sockperf_udp
 from repro.workloads.background import start_cp_background

@@ -30,14 +30,13 @@ class Kernel:
     instantiates two (host + guest).
     """
 
-    def __init__(self, env, params=None, name="smartnic-os", tracer=None):
+    def __init__(self, env, params=None, name="smartnic-os"):
         self.env = env
         self.params = params or KernelParams()
         self.name = name
-        # The observability spine: default to the environment's tracer; an
-        # explicit ``tracer`` argument (any object with ``.record`` and a
-        # truthy ``.enabled``) overrides it for targeted captures.
-        self.tracer = tracer if tracer is not None else env.tracer
+        # The observability spine: kernel, IPI and softirq events go to
+        # the environment's tracer.
+        self.tracer = env.tracer
 
         self.cpus = {}
         # Wake-placement candidates per affinity set (``None`` = any CPU):

@@ -21,7 +21,7 @@ from repro.metrics.sketch import (
     is_sketch_dict,
     merge_sketch_dicts,
 )
-from repro.metrics.timeline import Timeline, TimelineEvent
+from repro.metrics.timeline import TimelineEvent
 
 __all__ = [
     "occupancy_spans",
@@ -35,7 +35,6 @@ __all__ = [
     "Histogram",
     "LatencyRecorder",
     "RateMeter",
-    "Timeline",
     "TimelineEvent",
     "WelfordStats",
     "attainment_pct",

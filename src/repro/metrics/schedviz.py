@@ -1,6 +1,6 @@
 """ASCII scheduling-trace rendering.
 
-Turns a :class:`~repro.metrics.timeline.Timeline` of ``sched_in`` /
+Turns a :class:`~repro.obs.tracer.Tracer`'s ``sched_in`` /
 ``sched_out`` / ``vmenter`` / ``vmexit`` events into a per-CPU gantt chart
 readable in a terminal — the textual equivalent of Figure 4's timing
 diagram.  Each CPU is one row; each column is a time bucket filled with

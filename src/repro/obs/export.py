@@ -11,9 +11,9 @@ Three formats:
   event, for ad-hoc ``jq``/pandas querying.
 * **Text summary** (:func:`format_metrics`) — for terminal reports.
 
-Exporters accept a single tracer/timeline or a list of ``(label,
-tracer)`` streams (an observability session produces one stream per
-simulation environment; each stream becomes one Chrome ``pid``).
+Exporters accept a single tracer or a list of ``(label, tracer)``
+streams (an observability session produces one stream per simulation
+environment; each stream becomes one Chrome ``pid``).
 """
 
 import enum
@@ -58,7 +58,7 @@ def _args(event):
 
 
 def _normalize_streams(trace_source):
-    """Accept a tracer, a timeline, or a list of (label, tracer) pairs."""
+    """Accept a tracer or a list of (label, tracer) pairs."""
     if hasattr(trace_source, "record"):
         return [("trace", trace_source)]
     return list(trace_source)
@@ -83,12 +83,8 @@ def chrome_trace(trace_source):
             "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
             "args": {"name": label},
         })
-        dropped_total += getattr(tracer, "dropped", 0)
-        summary_fn = getattr(tracer, "summary", None)
-        meta = summary_fn() if callable(summary_fn) else {
-            "events": sum(1 for _ in tracer),
-            "dropped": getattr(tracer, "dropped", 0),
-        }
+        dropped_total += tracer.dropped
+        meta = tracer.summary()
         streams_meta.append(dict(
             {"pid": pid, "stream": label},
             **{key: _jsonable(val) for key, val in meta.items()}))
@@ -237,11 +233,7 @@ def write_jsonl(path, trace_source):
     """
     with open(path, "w") as handle:
         for pid, (label, tracer) in enumerate(_normalize_streams(trace_source)):
-            summary_fn = getattr(tracer, "summary", None)
-            meta = summary_fn() if callable(summary_fn) else {
-                "events": sum(1 for _ in tracer),
-                "dropped": getattr(tracer, "dropped", 0),
-            }
+            meta = tracer.summary()
             handle.write(json.dumps({
                 "pid": pid,
                 "stream": label,

@@ -35,19 +35,20 @@ Spans cost about what they keep.  Thread stints reach the tracker
 without a trace event: while spans are on, each CPU executor hands every
 ``sched_in``/``sched_out`` to :meth:`SpanTracker.sched_in` /
 :meth:`SpanTracker.sched_out`, so a spans-only run builds no scheduling
-event at all.  When the tracker is its tracer's only reader (the tracer
-does not retain and no other hook, such as an inline invariant checker,
-was attached when spans were enabled), nobody reads the
-``span.begin``/``span.end`` events, so they are not recorded, and a root
-strictly shorter than everything its full reservoir keeps is closed
-without attribution: it could never become an exemplar.  DP roots are
-then lazy as well: a packet's root is its begin time, CPU and sequence
-number, carried by the request until it closes, and a :class:`Span` is
-built only for a root that can enter the reservoir, with the id, window
-and CPU an eager root would have had, so exemplars are identical.  A
-lazy root closes in one step: one comparison against the reservoir's
-cached entry floor.  A capture (a retaining tracer) or a checker gets
-every event and every decomposition.
+event at all.  Whether a root's span events are read is decided once,
+when it opens (:meth:`SpanTracker._has_reader`: a retaining tracer, or
+a hook such as an inline invariant checker attached before spans were
+enabled), and the root and its children carry that decision to their
+close, so a ``span.end`` is recorded exactly when its ``span.begin``
+was.  An unread root records no event, and closing it strictly shorter
+than everything its full reservoir keeps skips attribution: it could
+never become an exemplar.  That check is one comparison against the
+channel's entry floor, which :meth:`SpanTracker.end_root` keeps.  A DP
+root is never a live :class:`Span`: it is its begin time, CPU, sequence
+number and reader decision, carried by the request, and a :class:`Span`
+is built at close only for a root that is read or can enter the
+reservoir.  A capture (a retaining tracer) or a checker gets every
+event and every decomposition.
 """
 
 from collections import defaultdict, deque
@@ -84,19 +85,19 @@ _HANDLED_KINDS = frozenset((
 #: open span so memory stays O(in-flight requests + recent activity).
 _PRUNE_TRIGGER = 512
 
-#: Lazy DP roots are counted per ``2**_LAZY_SHIFT`` ns (65.5 us) of begin
-#: time; the oldest counted bucket bounds the oldest open lazy root.
-_LAZY_SHIFT = 16
+#: Open DP roots are counted per ``2**_BUCKET_SHIFT`` ns (65.5 us) of
+#: begin time; the oldest counted bucket bounds the oldest open DP root.
+_BUCKET_SHIFT = 16
 
 
 class Span:
     """One live span: a named window of a request's lifetime."""
 
     __slots__ = ("span_id", "request_id", "parent_id", "name", "channel",
-                 "cpu_id", "t_begin", "t_end")
+                 "cpu_id", "t_begin", "t_end", "traced")
 
     def __init__(self, span_id, request_id, parent_id, name, channel,
-                 cpu_id, t_begin):
+                 cpu_id, t_begin, traced):
         self.span_id = span_id
         self.request_id = request_id
         self.parent_id = parent_id
@@ -105,6 +106,8 @@ class Span:
         self.cpu_id = cpu_id
         self.t_begin = t_begin
         self.t_end = None
+        # Whether its span.begin was recorded, so its span.end is.
+        self.traced = traced
 
     def to_dict(self):
         return {
@@ -198,21 +201,21 @@ class SpanTracker:
         self.reservoirs = {}       # channel -> ExemplarReservoir
         self.roots_completed = 0
 
-        self._open = {}            # span_id -> Span
+        self._open = set()         # open Spans (VM trees, explicit begins)
         self._tree = {}            # request_id -> [closed child Span]
         self._span_seq = {}        # request_id -> next child ordinal
-        self._request_seq = 0      # auto request-id counter (dp packets)
-        # Open lazy DP roots per bucket of begin time (see _LAZY_SHIFT),
-        # oldest bucket first; a bucket is dropped when its count is 0.
-        self._lazy_dp = defaultdict(int)
+        self._request_seq = 0      # DP packet request-id counter
+        # Open DP roots per bucket of begin time (see _BUCKET_SHIFT), oldest
+        # bucket first; a bucket is dropped when its count is 0.
+        self._dp_buckets = defaultdict(int)
         self._vm_state = {}        # request_id -> phase bookkeeping
-        # Set at enable() when no other hook reads the tracer: span events
-        # and the attribution of roots that cannot become exemplars then
-        # matter only to a retaining tracer.
+        # Set at enable() when no other hook reads the tracer
+        # (see _has_reader).
         self._sole_reader = False
-        # The DP reservoir's entry floor (see _entry_floor), kept current
-        # by end_root so a lazy root's close reads one attribute.
-        self._dp_floor = 0
+        # channel -> the duration a root must reach to enter its full
+        # reservoir (absent while the reservoir has room); kept by
+        # end_root.
+        self._floors = {}
 
         # Flat-stream attribution state.
         self._cpu_iv = defaultdict(deque)  # cpu -> [(t0, t1, kind, extra)]
@@ -229,13 +232,9 @@ class SpanTracker:
             self.exemplar_k = int(exemplar_k)
         if not self.enabled:
             self.enabled = True
-            # Decided once: a checker hooked later sees no span events at
-            # all rather than a span.end whose span.begin was skipped.
+            # Decided once; see _has_reader.
             self._sole_reader = not self.env.tracer.hooks
             self.env.tracer.add_hook(self.observe, kinds=_HANDLED_KINDS)
-            reservoir = self.reservoirs.get("dp")
-            if reservoir is not None:
-                self._dp_floor = self._entry_floor(reservoir)
         return self
 
     def disable(self):
@@ -333,75 +332,98 @@ class SpanTracker:
         while intervals and intervals[0][1] < floor:
             intervals.popleft()
 
-    def _unread(self, tracer):
-        """True when nothing but this tracker reads ``tracer``'s events."""
-        return self._sole_reader and not tracer.retain
-
     def _retention_floor(self):
         floor = self.env.now
         if self._open:
-            floor = min(span.t_begin for span in self._open.values())
-        if self._lazy_dp:
+            floor = min(span.t_begin for span in self._open)
+        if self._dp_buckets:
             # Buckets are created in time order and dropped when empty:
-            # the first one holds the oldest open lazy root.
-            floor = min(floor, next(iter(self._lazy_dp)) << _LAZY_SHIFT)
+            # the first one holds the oldest open DP root.
+            floor = min(floor, next(iter(self._dp_buckets)) << _BUCKET_SHIFT)
         return floor
+
+    def _has_reader(self):
+        """The reader decision for a root opening now: whether its span
+        events have a reader, a retaining tracer or a hook attached
+        before :meth:`enable` (a checker hooked later sees no span events
+        at all, rather than a ``span.end`` whose ``span.begin`` it
+        missed).  The root and its children carry the answer to their
+        close."""
+        tracer = self.env.tracer
+        return tracer.enabled and (tracer.retain or not self._sole_reader)
+
+    def _passes_over(self, channel, t_begin, traced):
+        """Close a root of ``channel`` begun at ``t_begin`` without
+        attribution if it is unread and strictly shorter than everything
+        its full reservoir keeps, so it could never enter: counted as
+        completed and offered, with no event or record.  Returns whether
+        it did."""
+        if traced or self.env.now - t_begin >= self._floors.get(channel, 0):
+            return False
+        self.roots_completed += 1
+        self.reservoirs[channel].offered += 1
+        return True
 
     # -- Span emission -------------------------------------------------------------
 
     def begin(self, name, channel=None, parent=None, request_id=None,
               cpu_id="-"):
-        """Open a span at ``env.now``; returns its span id."""
-        if request_id is None:
-            if parent is not None:
-                request_id = self._open[parent].request_id
-            else:
-                self._request_seq += 1
-                request_id = f"pkt-{self._request_seq}"
+        """Open a span at ``env.now`` and return it: a root of request
+        ``request_id``, or a child of the open span ``parent``, whose
+        request and reader decision it shares."""
+        if parent is None:
+            parent_id = None
+            traced = self._has_reader()
+        else:
+            parent_id = parent.span_id
+            request_id = parent.request_id
+            traced = parent.traced
         ordinal = self._span_seq.get(request_id, 0)
         self._span_seq[request_id] = ordinal + 1
-        span_id = f"{request_id}#{ordinal}"
-        span = Span(span_id, request_id, parent, name, channel, cpu_id,
-                    self.env.now)
-        self._open[span_id] = span
-        tracer = self.env.tracer
-        if tracer.enabled and not self._unread(tracer):
-            detail = {"span": span_id, "request": request_id, "name": name}
-            if parent is not None:
-                detail["parent"] = parent
+        span = Span(f"{request_id}#{ordinal}", request_id, parent_id, name,
+                    channel, cpu_id, self.env.now, traced)
+        self._open.add(span)
+        if traced:
+            detail = {"span": span.span_id, "request": request_id,
+                      "name": name}
+            if parent_id is not None:
+                detail["parent"] = parent_id
             if channel is not None:
                 detail["channel"] = channel
-            tracer.record(self.env.now, cpu_id, "span.begin", **detail)
-        return span_id
-
-    def end(self, span_id, **extra):
-        """Close a non-root span at ``env.now``."""
-        span = self._open.pop(span_id)
-        span.t_end = self.env.now
-        self._tree.setdefault(span.request_id, []).append(span)
-        tracer = self.env.tracer
-        if tracer.enabled and not self._unread(tracer):
-            tracer.record(self.env.now, span.cpu_id, "span.end",
-                          span=span_id, request=span.request_id,
-                          name=span.name, **extra)
+            self.env.tracer.record(self.env.now, cpu_id, "span.begin",
+                                   **detail)
         return span
 
-    def end_root(self, span_id, parts):
-        """Close a root span with its exact-partition ``parts`` timeline.
+    def end(self, span, **extra):
+        """Close the non-root ``span`` at ``env.now``."""
+        self._open.remove(span)
+        span.t_end = self.env.now
+        self._tree.setdefault(span.request_id, []).append(span)
+        if span.traced:
+            self.env.tracer.record(self.env.now, span.cpu_id, "span.end",
+                                   span=span.span_id,
+                                   request=span.request_id,
+                                   name=span.name, **extra)
+        return span
+
+    def end_root(self, span, parts):
+        """Close the root ``span`` with its exact-partition ``parts``
+        timeline.
 
         Records the ``span.end`` event carrying ``duration_ns`` and the
-        parts, offers the completed tree to the channel's exemplar
-        reservoir, and drops all per-request state.
+        parts if its ``span.begin`` was recorded, offers the completed
+        tree to the channel's exemplar reservoir, and drops all
+        per-request state.
         """
-        span = self._open.pop(span_id)
+        self._open.discard(span)
         span.t_end = self.env.now
         parts = merge_parts(parts)
         duration = span.t_end - span.t_begin
-        tracer = self.env.tracer
-        if tracer.enabled and not self._unread(tracer):
-            tracer.record(self.env.now, span.cpu_id, "span.end",
-                          span=span_id, request=span.request_id,
-                          name=span.name, duration_ns=duration, parts=parts)
+        if span.traced:
+            self.env.tracer.record(self.env.now, span.cpu_id, "span.end",
+                                   span=span.span_id,
+                                   request=span.request_id, name=span.name,
+                                   duration_ns=duration, parts=parts)
         children = self._tree.pop(span.request_id, [])
         self._span_seq.pop(span.request_id, None)
         self.roots_completed += 1
@@ -429,37 +451,12 @@ class SpanTracker:
             reservoir = self.reservoirs[span.channel] = ExemplarReservoir(
                 self.exemplar_k)
         reservoir.offer(record)
-        if span.channel == "dp":
-            self._dp_floor = self._entry_floor(reservoir)
+        if len(reservoir.records) == reservoir.k:
+            # A full reservoir keeps only roots at least as long as its
+            # shortest one: a strictly shorter root could never enter,
+            # whatever its id.
+            self._floors[span.channel] = reservoir.records[-1]["duration_ns"]
         return record
-
-    def _entry_floor(self, reservoir):
-        """The duration a root must reach to enter ``reservoir`` while
-        nobody else reads the stream: a full reservoir keeps only roots
-        at least as long as its shortest one, so a strictly shorter root
-        could never enter, whatever its id.  0, which no duration is
-        below, while the reservoir has room or others read the stream
-        (a retaining tracer is checked at close)."""
-        if not self._sole_reader or len(reservoir.records) < reservoir.k:
-            return 0
-        return reservoir.records[-1]["duration_ns"]
-
-    def _passed_over(self, span):
-        """Close root ``span`` now without attribution if it is below its
-        reservoir's entry floor and no retaining tracer wants its events:
-        the bookkeeping of :meth:`end_root` (completed and offered)
-        without its event or record.  Returns whether it did."""
-        reservoir = self.reservoirs.get(span.channel)
-        if (reservoir is None
-                or self.env.now - span.t_begin >= self._entry_floor(reservoir)
-                or self.env.tracer.retain):
-            return False
-        del self._open[span.span_id]
-        self._tree.pop(span.request_id, None)
-        self._span_seq.pop(span.request_id, None)
-        self.roots_completed += 1
-        reservoir.offered += 1
-        return True
 
     # -- Window attribution --------------------------------------------------------
 
@@ -515,49 +512,40 @@ class SpanTracker:
     def begin_dp(self, request, dst_cpu_id):
         """Open a DP request root (accelerator submit time).
 
-        While the stream is unread the root is lazy: ``request.span_id``
-        holds ``(t_begin, cpu, seq)``, its begin-time bucket counts one
-        more open root, and no :class:`Span` or event is made until
-        :meth:`end_dp` finds it can enter the reservoir."""
-        env = self.env
-        if self._sole_reader and not env.tracer.retain:
-            now = env.now
-            self._request_seq = seq = self._request_seq + 1
-            self._lazy_dp[now >> _LAZY_SHIFT] += 1
-            request.span_id = (now, dst_cpu_id, seq)
-        else:
-            request.span_id = self.begin("dp_request", channel="dp",
-                                         cpu_id=dst_cpu_id)
+        ``request.span_id`` holds ``(t_begin, cpu, seq, traced)`` and the
+        root's begin-time bucket counts one more open root; a read root
+        (:meth:`_has_reader`) records its ``span.begin`` now, as request
+        ``pkt-{seq}``.  :meth:`end_dp` builds the :class:`Span`."""
+        now = self.env.now
+        self._request_seq = seq = self._request_seq + 1
+        self._dp_buckets[now >> _BUCKET_SHIFT] += 1
+        traced = self._has_reader()
+        if traced:
+            request_id = f"pkt-{seq}"
+            self.env.tracer.record(now, dst_cpu_id, "span.begin",
+                                   span=f"{request_id}#0",
+                                   request=request_id, name="dp_request",
+                                   channel="dp")
+        request.span_id = (now, dst_cpu_id, seq, traced)
 
     def end_dp(self, request, cpu_id):
         """Close a DP root at poll pickup with the full decomposition,
-        unless it is below the reservoir's entry floor
-        (:meth:`_entry_floor`)."""
-        root, request.span_id = request.span_id, None
-        env = self.env
-        now = env.now
-        if root.__class__ is tuple:
-            t_begin, dst_cpu_id, seq = root
-            lazy = self._lazy_dp
-            bucket = t_begin >> _LAZY_SHIFT
-            left = lazy[bucket] - 1
-            if left:
-                lazy[bucket] = left
-            else:
-                del lazy[bucket]
-            if now - t_begin < self._dp_floor and not env.tracer.retain:
-                self.roots_completed += 1
-                self.reservoirs["dp"].offered += 1
-                return None
-            # The span an eager begin_dp would have opened.
-            request_id = f"pkt-{seq}"
-            span = Span(f"{request_id}#0", request_id, None, "dp_request",
-                        "dp", dst_cpu_id, t_begin)
-            self._open[span.span_id] = span
+        unless it passes over (:meth:`_passes_over`)."""
+        t_begin, dst_cpu_id, seq, traced = request.span_id
+        request.span_id = None
+        buckets = self._dp_buckets
+        bucket = t_begin >> _BUCKET_SHIFT
+        left = buckets[bucket] - 1
+        if left:
+            buckets[bucket] = left
         else:
-            span = self._open.get(root)
-            if span is None or self._passed_over(span):
-                return None
+            del buckets[bucket]
+        if self._passes_over("dp", t_begin, traced):
+            return None
+        request_id = f"pkt-{seq}"
+        span = Span(f"{request_id}#0", request_id, None, "dp_request", "dp",
+                    dst_cpu_id, t_begin, traced)
+        now = self.env.now
         parts = []
         accel_start = request.t_accel_start
         rx_ready = request.t_rx_ready
@@ -570,7 +558,7 @@ class SpanTracker:
                           min(rx_ready, now)])
         wait_from = max(span.t_begin, rx_ready or span.t_begin)
         parts.extend(self.attribute(cpu_id, wait_from, now, "sched_delay"))
-        return self.end_root(span.span_id, parts)
+        return self.end_root(span, parts)
 
     # -- VM-startup channel --------------------------------------------------------
 
@@ -583,7 +571,7 @@ class SpanTracker:
             "root": root, "child": queue, "thread": None, "parts": [],
             "t_phase": self.env.now,
         }
-        request.span_id = root
+        request.span_id = root.span_id
 
     def vm_watch(self, request, thread_name):
         """Bind the provisioning thread to the request (at submit)."""
@@ -666,8 +654,14 @@ class SpanTracker:
             state["parts"].append(["qemu_instantiate", state["t_phase"],
                                    now])
         self.end(state["child"])
-        record = (None if self._passed_over(self._open[state["root"]])
-                  else self.end_root(state["root"], state["parts"]))
+        root = state["root"]
+        if self._passes_over("vm", root.t_begin, root.traced):
+            self._open.remove(root)
+            self._tree.pop(request_id, None)
+            self._span_seq.pop(request_id, None)
+            record = None
+        else:
+            record = self.end_root(root, state["parts"])
         if state["thread"]:
             self.unwatch_thread(state["thread"])
         request.span_id = None
@@ -686,8 +680,8 @@ class SpanTracker:
         return reservoir.worst_ids() if reservoir is not None else []
 
     def open_spans(self):
-        """Open spans, lazy DP roots included."""
-        return len(self._open) + sum(self._lazy_dp.values())
+        """Open spans, DP roots included."""
+        return len(self._open) + sum(self._dp_buckets.values())
 
     def __repr__(self):
         state = "on" if self.enabled else "off"

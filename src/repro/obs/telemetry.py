@@ -347,30 +347,22 @@ class RingSeries:
         return iter(self.snapshots)
 
 
-class TelemetryJsonlWriter:
+class TelemetryJsonlWriter(RingSeries):
     """JSONL time-series writer with the ``trace_meta`` head convention.
 
-    Snapshots are retained in a ring until :meth:`finish` so the file can
-    *start* with a ``telemetry_meta`` bookkeeping line (snapshot/drop
-    counts, cap, mode) — the telemetry twin of the trace exporter's
-    ``trace_meta``, letting ``taichi-experiments analyze`` flag a
-    truncated capture instead of silently profiling a partial series.
+    Snapshots are retained in its :class:`RingSeries` ring until
+    :meth:`finish` so the file can *start* with a ``telemetry_meta``
+    bookkeeping line (snapshot/drop counts, cap, mode) — the telemetry
+    twin of the trace exporter's ``trace_meta``, letting
+    ``taichi-experiments analyze`` flag a truncated capture instead of
+    silently profiling a partial series.
     """
 
     def __init__(self, path, cap=JSONL_CAP, node_id="node"):
+        super().__init__(cap)
         self.path = path
-        self.cap = int(cap)
         self.node_id = node_id
-        self.snapshots = deque(maxlen=self.cap)
-        self.total = 0
-        self.dropped = 0
         self._written = False
-
-    def on_snapshot(self, snapshot):
-        if len(self.snapshots) >= self.cap:
-            self.dropped += 1
-        self.snapshots.append(snapshot)
-        self.total += 1
 
     def meta(self):
         return {

@@ -48,24 +48,53 @@ kind                 meaning
 ===================  =======================================================
 """
 
-from repro.metrics.timeline import EVERY_KIND, Timeline, TimelineEvent
+from collections import deque
+
+from repro.metrics.timeline import TimelineEvent
 
 _NO_KIND = frozenset()
 
 
-class Tracer(Timeline):
-    """A :class:`~repro.metrics.timeline.Timeline` with an enable gate.
+class _EveryKind:
+    """The ``reads`` of a tracer that builds events of every kind."""
+
+    __slots__ = ()
+
+    def __contains__(self, kind):
+        return True
+
+    def __repr__(self):
+        return "EVERY_KIND"
+
+
+EVERY_KIND = _EveryKind()
+
+
+class Tracer:
+    """A bounded ring of :class:`~repro.metrics.timeline.TimelineEvent`
+    records behind an enable gate.
 
     ``enabled`` gates emission; ``retain`` says whether emitted events
     are stored; ``reads`` holds the kinds that would be built (see the
     module docstring).  Change them through the methods, never by
     assignment, so ``reads`` stays current.  A retaining tracer keeps
-    the newest ``cap`` events, so long runs behave like a flight
-    recorder rather than capturing only the boot transient.
+    the newest ``cap`` events and counts the older ones it drops in
+    ``dropped``, so long runs behave like a flight recorder rather than
+    capturing only the boot transient; renderers and exporters surface
+    ``dropped`` rather than present a truncated trace as whole.
+
+    The record a full ring evicts is *recycled in place* for the
+    incoming event rather than freed, so a traced soak allocates ``cap``
+    records in all instead of one per event.  A record is immutable only
+    while it stays in the ring: hooks consume events synchronously and
+    exporters read the live buffer, so neither sees recycling; holding a
+    reference across ``cap`` further records does.
     """
 
     def __init__(self, cap=1_000_000, enabled=False):
-        super().__init__(cap=cap)
+        self.cap = cap
+        self.events = deque(maxlen=cap)
+        self.dropped = 0
         self.enabled = enabled
         # Only an explicit trace request stores events; hooks alone don't.
         self.retain = enabled
@@ -129,7 +158,19 @@ class Tracer(Timeline):
         if not self.enabled:
             return
         if self.retain:
-            event = super().record(ts_ns, cpu_id, kind, **detail)
+            events = self.events
+            if len(events) >= self.cap:
+                self.dropped += 1
+                # Recycle the evicted record: a full flight recorder stops
+                # allocating entirely.
+                event = events.popleft()
+                event.ts_ns = ts_ns
+                event.cpu_id = cpu_id
+                event.kind = kind
+                event.detail = detail
+            else:
+                event = TimelineEvent(ts_ns, cpu_id, kind, detail)
+            events.append(event)
         else:
             kinds = self._kinds
             if kinds is not None and kind not in kinds:
@@ -137,6 +178,29 @@ class Tracer(Timeline):
             event = TimelineEvent(ts_ns, cpu_id, kind, detail)
         for hook in self.hooks:
             hook(event)
+
+    def filter(self, kind=None, cpu_id=None):
+        out = list(self.events)
+        if kind is not None:
+            out = [event for event in out if event.kind == kind]
+        if cpu_id is not None:
+            out = [event for event in out if event.cpu_id == cpu_id]
+        return out
+
+    def summary(self):
+        """Bookkeeping summary for exports and reports."""
+        return {
+            "events": len(self.events),
+            "dropped": self.dropped,
+            "cap": self.cap,
+            "mode": "ring",
+        }
+
+    def __len__(self):
+        return len(self.events)
+
+    def __iter__(self):
+        return iter(self.events)
 
     def __repr__(self):
         state = "on" if self.enabled else "off"

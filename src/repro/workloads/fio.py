@@ -19,7 +19,6 @@ def run_fio(deployment, duration_ns, n_jobs=16, iodepth=8):
     clients = StorageClients(
         deployment, n_jobs=n_jobs, iodepth=iodepth,
         block_bytes=BLOCK_BYTES, service_ns=SUBMIT_SERVICE_NS,
-        rng=deployment.rng.stream("fio"),
     )
     clients.start(duration_ns)
     deployment.run(deployment.env.now + duration_ns)

@@ -137,15 +137,13 @@ class ClosedLoopClients:
 class StorageClients:
     """fio-style jobs keeping ``iodepth`` block requests in flight each."""
 
-    def __init__(self, deployment, n_jobs, iodepth, block_bytes, service_ns,
-                 rng=None):
+    def __init__(self, deployment, n_jobs, iodepth, block_bytes, service_ns):
         self.deployment = deployment
         self.env = deployment.env
         self.n_jobs = int(n_jobs)
         self.iodepth = int(iodepth)
         self.block_bytes = int(block_bytes)
         self.service_ns = service_ns
-        self.rng = rng or deployment.rng.stream("fio")
         self.completed = RateMeter("ios")
         self.io_latency = LatencyRecorder(name="io-latency")
         self._queues = service_queue_ids(deployment)

@@ -6,7 +6,6 @@ the quicker ones in-process and sanity-check their printed reports.
 
 import importlib.util
 import os
-import sys
 
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import StaticPartitionDeployment, TaiChiDeployment
 from repro.hw import DeviceState, ENic, HostNode, PacketKind, VMSpec
-from repro.sim import MILLISECONDS, SECONDS
+from repro.sim import MILLISECONDS
 
 
 def make_deployment():

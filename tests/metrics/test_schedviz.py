@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.metrics import Timeline, occupancy_spans, render_gantt
+from repro.metrics import occupancy_spans, render_gantt
+from repro.obs.tracer import Tracer
 
 
 def make_timeline():
-    timeline = Timeline()
+    timeline = Tracer(enabled=True)
     timeline.record(0, 0, "sched_in", thread="alpha")
     timeline.record(500, 0, "sched_out", thread="alpha", outcome="blocked")
     timeline.record(600, 0, "vmenter", vcpu="v0")
@@ -23,7 +24,7 @@ def test_occupancy_spans_pairs_events():
 
 
 def test_open_span_clipped_at_horizon():
-    timeline = Timeline()
+    timeline = Tracer(enabled=True)
     timeline.record(100, 0, "sched_in", thread="x")
     spans = occupancy_spans(timeline, start_ns=0, end_ns=1000)
     assert spans[0] == [(100, 1000, "x")]
@@ -32,7 +33,7 @@ def test_open_span_clipped_at_horizon():
 def test_open_span_survives_without_end_ns():
     # Regression: spans still open at the last event used to vanish
     # entirely when no end_ns horizon was given.
-    timeline = Timeline()
+    timeline = Tracer(enabled=True)
     timeline.record(100, 0, "sched_in", thread="x")
     timeline.record(900, 1, "vmenter", vcpu="v0")
     spans = occupancy_spans(timeline)
@@ -43,7 +44,7 @@ def test_open_span_survives_without_end_ns():
 def test_straddling_open_clamped_without_start_ns():
     # Regression: an open preceding the window was only handled when
     # start_ns was explicitly set.
-    timeline = Timeline()
+    timeline = Tracer(enabled=True)
     timeline.record(100, 0, "sched_in", thread="x")
     timeline.record(700, 0, "sched_out", thread="x")
     assert occupancy_spans(timeline)[0] == [(100, 700, "x")]
@@ -51,7 +52,7 @@ def test_straddling_open_clamped_without_start_ns():
 
 
 def test_render_notes_dropped_events():
-    timeline = Timeline(cap=4)
+    timeline = Tracer(cap=4, enabled=True)
     for ts in range(0, 800, 100):
         timeline.record(ts, 0, "sched_in", thread="x")
     text = render_gantt(timeline, 0, 1000, width=50)
@@ -83,12 +84,12 @@ def test_executor_emits_trace_events():
     from repro.kernel import Compute, Kernel
     from repro.sim import Environment
 
-    timeline = Timeline()
     env = Environment()
-    kernel = Kernel(env, tracer=timeline)
+    env.tracer.enable()
+    kernel = Kernel(env)
     kernel.add_cpu(0)
     kernel.spawn("worker", iter([Compute(1000)]))
     env.run()
-    kinds = [event.kind for event in timeline]
+    kinds = [event.kind for event in env.tracer]
     assert "sched_in" in kinds
     assert "sched_out" in kinds

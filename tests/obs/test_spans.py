@@ -7,6 +7,7 @@ must surface as a wider ``ipi_deliver`` segment, never as an
 unexplained gap.
 """
 
+import hashlib
 import json
 from itertools import count
 from types import SimpleNamespace
@@ -128,8 +129,8 @@ def test_a_root_that_cannot_enter_skips_attribution_only_when_unread(reader):
 @pytest.mark.parametrize("retain", [False, True])
 def test_an_open_dp_root_keeps_the_activity_it_will_attribute(retain):
     # A root open across more vCPU slices than the per-CPU prune trigger:
-    # its whole wait stays attributable whether it is lazy (unread stream)
-    # or an eager Span (retaining tracer), and both give the same record.
+    # its whole wait stays attributable whether its stream is unread or
+    # retained, and both give the same record.
     env = _Env()
     env.tracer = Tracer(enabled=retain)
     tracker = SpanTracker(env).enable()
@@ -251,7 +252,8 @@ def test_interval_pruning_keeps_memory_bounded():
 
 def test_span_events_reconstruct_into_a_tree():
     env, tracker = _tracker()
-    root = tracker.begin("dp_request", channel="dp", cpu_id=0)
+    root = tracker.begin("dp_request", channel="dp", request_id="pkt-1",
+                         cpu_id=0)
     env.now = 50
     child = tracker.begin("stage", parent=root)
     env.now = 80
@@ -274,12 +276,43 @@ def test_span_events_reconstruct_into_a_tree():
 
 def test_open_span_at_stream_end_is_legal_and_incomplete():
     env, tracker = _tracker()
-    tracker.begin("dp_request", channel="dp", cpu_id=0)
+    tracker.begin("dp_request", channel="dp", request_id="pkt-1", cpu_id=0)
     events = list(env.tracer)
     assert check_events(events, checkers=[SpanPairingChecker()]) == []
     (tree,) = build_span_trees(events).values()
     assert not tree["complete"]
     assert tracker.open_spans() == 1
+
+
+def test_a_span_ends_in_the_trace_only_if_it_began_there():
+    # A capture started mid-run (a public Tracer.enable() while roots are
+    # open and unread) records neither end of those roots, nor the VM
+    # phase children opened under an unrecorded root; a root begun after
+    # it is recorded whole.  Every root still completes.
+    env = _Env()
+    env.tracer = Tracer()
+    tracker = SpanTracker(env).enable()
+    packet = SimpleNamespace(span_id=None, t_accel_start=None,
+                             t_rx_ready=None)
+    vm = SimpleNamespace(vm_id=7, span_id=None)
+    tracker.begin_dp(packet, 0)
+    tracker.vm_begin(vm)
+    env.tracer.enable()
+    env.now = 100
+    tracker.vm_cp_started(vm)
+    assert tracker.end_dp(packet, 0)["request"] == "pkt-1"
+    tracker.vm_devices_ready(vm)
+    later = SimpleNamespace(span_id=None, t_accel_start=None,
+                            t_rx_ready=None)
+    tracker.begin_dp(later, 0)
+    env.now = 200
+    tracker.end_dp(later, 0)
+    assert tracker.vm_started(vm)["request"] == "vm7"
+    events = list(env.tracer)
+    assert check_events(events, checkers=[SpanPairingChecker()]) == []
+    assert [(event.kind, event.detail["span"]) for event in events] == [
+        ("span.begin", "pkt-2#0"), ("span.end", "pkt-2#0")]
+    assert tracker.roots_completed == 3 and tracker.open_spans() == 0
 
 
 def _ev(ts, kind, **detail):
@@ -393,6 +426,36 @@ def _taichi_soak(workload=None, duration_ms=150):
                         spans=True)
 
 
+#: sha256 of :func:`_churn_soak`'s capture under ``observe(trace=True,
+#: spans=True)``, written by ``write_jsonl``: every flat and span event,
+#: span ids, detail keys and their order.
+_CHURN_CAPTURE_SHA256 = (
+    "32ccb80b98e14f86d478bcf16557a66ab0e03faefa3f77d990a70ba981a89284")
+
+
+def _churn_soak():
+    """A short spans-on ``taichi`` soak that starts a VM batch every
+    20 ms, so VM trees open and close inside the window."""
+    return _taichi_soak({"vm_period_ms": 20}, duration_ms=60)
+
+
+def test_vm_churn_capture_bytes_are_pinned(tmp_path):
+    with observe(trace=True, spans=True) as session:
+        traced = _churn_soak()
+    path = tmp_path / "churn.jsonl"
+    write_jsonl(str(path), session.streams)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        _CHURN_CAPTURE_SHA256
+    # An inline checker reads every span event and finds them paired,
+    # and the exemplars it sees are the spans-only run's.
+    with observe(check_invariants=True, spans=True) as checked_session:
+        checked = _churn_soak()
+    assert checked_session.violations() == []
+    lean = _churn_soak()
+    assert lean["exemplars"]["vm"] and lean["exemplars"]["dp"]
+    assert checked["exemplars"] == lean["exemplars"] == traced["exemplars"]
+
+
 def test_spans_only_soak_pays_for_what_it_keeps(monkeypatch):
     """The span-cost gate: a spans-only soak stores no trace, makes no
     ``Tracer.record`` call for a kind its tracker does not read, builds a
@@ -416,9 +479,9 @@ def test_spans_only_soak_pays_for_what_it_keeps(monkeypatch):
         built.append(name)
         span_init(self, span_id, request_id, parent_id, name, *args)
 
-    def counting_end_root(self, span_id, parts):
-        ended.append(self._open[span_id].channel)
-        return end_root(self, span_id, parts)
+    def counting_end_root(self, span, parts):
+        ended.append(span.channel)
+        return end_root(self, span, parts)
 
     def counting_vm_begin(self, request):
         vm_trees.append(request)
@@ -455,7 +518,7 @@ def test_spans_only_soak_pays_for_what_it_keeps(monkeypatch):
     # and thread stints reach the tracker from the executor instead.
     assert recorded and set(recorded) <= _HANDLED_KINDS
     assert recorded.count("sched_in") == recorded.count("sched_out") == 0
-    # Lazy DP roots: a Span only for a root that enters the reservoir;
+    # Unread DP roots: a Span only for a root that enters the reservoir;
     # a VM tree is a root and three phase children.
     assert 0 < built.count("dp_request") == ended.count("dp")
     assert len(built) <= ended.count("dp") + 4 * len(vm_trees)

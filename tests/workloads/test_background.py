@@ -2,7 +2,7 @@
 
 
 from repro.baselines import StaticPartitionDeployment, TaiChiDeployment
-from repro.sim import MILLISECONDS, SECONDS
+from repro.sim import MILLISECONDS
 from repro.workloads.background import start_cp_background, start_dp_background
 
 
