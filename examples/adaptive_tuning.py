@@ -13,7 +13,7 @@ Run:  python examples/adaptive_tuning.py
 from repro.baselines import TaiChiDeployment
 from repro.cp.task import CPTaskParams, spawn_synth_cp
 from repro.hw import IORequest, PacketKind
-from repro.sim import MICROSECONDS, MILLISECONDS, SECONDS
+from repro.sim import MICROSECONDS, MILLISECONDS
 
 
 def snapshot(tag, deployment):

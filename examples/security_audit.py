@@ -19,7 +19,7 @@ from collections import Counter
 from repro.baselines import TaiChiDeployment
 from repro.core import InstructionAuditor, PreemptibleKernelContext
 from repro.kernel import Compute, Kernel, KernelSection, SchedClass, Sleep, Syscall
-from repro.sim import Environment, MICROSECONDS, MILLISECONDS, SECONDS
+from repro.sim import Environment, MICROSECONDS, MILLISECONDS
 
 
 def suspicious_task():

@@ -368,27 +368,25 @@ def _engine_metrics(registry):
 
 
 def profile_scheduling(exp_id="fig4", scale=1.0, seed=0):
-    """Trace one experiment and profile its scheduling behaviour.
+    """Run one experiment and profile its scheduling behaviour.
 
-    Reruns ``exp_id`` under a tracing session with inline invariant
-    checking, then feeds the captured streams through the trace analyzer.
-    Returns ``{"exp_id", "analysis", "violations"}`` — the data behind
+    Reruns ``exp_id`` under a session whose inline pass checks the
+    invariants and profiles every stream in one go, retaining no trace.
+    Returns ``{"exp_id", "streams", "violations"}`` — the data behind
     EXPERIMENTS.md's scheduling-latency profile section.
     """
-    from repro.obs.analysis import analyze_streams
-
-    with observe(trace=True, check_invariants=True) as session:
+    with observe(check_invariants=True) as session:
         run_experiment(exp_id, scale=scale, seed=seed)
-        analysis = analyze_streams(session.streams, check_invariants=False)
         violations = session.violations()
-    return {"exp_id": exp_id, "analysis": analysis, "violations": violations}
+    streams = {label: engine.report()
+               for label, engine in session.invariant_engines}
+    return {"exp_id": exp_id, "streams": streams, "violations": violations}
 
 
 def _profile_md_lines(profile):
     """Render a ``profile_scheduling`` result as EXPERIMENTS.md lines."""
     from repro.obs.analysis import format_stream_report
 
-    analysis = profile["analysis"]
     violations = profile["violations"]
     lines = [
         f"## Scheduling-latency profile ({profile['exp_id']})",
@@ -400,9 +398,7 @@ def _profile_md_lines(profile):
         "",
         "```",
     ]
-    for warning in analysis["warnings"]:
-        lines.append(f"WARNING: {warning}")
-    for label, report in analysis["streams"].items():
+    for label, report in profile["streams"].items():
         if not report["events"]:
             continue
         lines.append(format_stream_report(label, report))

@@ -8,6 +8,10 @@ the initial of the thread that occupied it ('v' for donated vCPU slices,
 '.' for idle).
 """
 
+from repro.obs.intervals import Pairer
+
+_OCCUPYING = ("stint", "slice")
+
 
 def render_gantt(timeline, start_ns, end_ns, cpu_ids=None, width=100,
                  label_width=8):
@@ -25,7 +29,12 @@ def render_gantt(timeline, start_ns, end_ns, cpu_ids=None, width=100,
     lines.append(header)
     for cpu_id in cpu_ids:
         row = ["."] * width
-        for span_start, span_end, label in spans.get(cpu_id, []):
+        # Draw in start order, outer first: a vCPU slice nests in the
+        # stint of the thread that lent it the CPU, often on the same
+        # window, and is drawn over it.
+        for span_start, span_end, label in sorted(
+                spans.get(cpu_id, []),
+                key=lambda span: (span[0], -span[1], span[2] == "v")):
             first = int(max(span_start - start_ns, 0) // bucket_ns)
             last = int(min(span_end - start_ns, end_ns - start_ns - 1)
                        // bucket_ns)
@@ -42,10 +51,6 @@ def render_gantt(timeline, start_ns, end_ns, cpu_ids=None, width=100,
     return "\n".join(lines)
 
 
-_OPEN_KINDS = ("sched_in", "vmenter")
-_CLOSE_KINDS = ("sched_out", "vmexit")
-
-
 def occupancy_spans(timeline, start_ns=None, end_ns=None):
     """Extract per-CPU (start, end, glyph) occupancy spans from a timeline.
 
@@ -54,32 +59,31 @@ def occupancy_spans(timeline, start_ns=None, end_ns=None):
     so an open occupancy is always reported rather than silently vanishing.
     Opens that straddle ``start_ns`` are clamped to the window start.
     """
+    pairer = Pairer()
     spans = {}
-    open_spans = {}
     last_ts = None
+
+    def add(interval, close_ns):
+        opened = interval.begin.ts_ns
+        if start_ns is not None and opened < start_ns:
+            opened = start_ns
+        spans.setdefault(interval.key, []).append(
+            (opened, close_ns, _glyph(interval.begin)))
+
     for event in timeline:
         if end_ns is not None and event.ts_ns > end_ns:
             break
         last_ts = event.ts_ns
-        if start_ns is not None and event.ts_ns < start_ns:
-            # Track opens that straddle the window start.
-            if event.kind in _OPEN_KINDS:
-                open_spans[event.cpu_id] = (start_ns, _glyph(event))
-            elif event.kind in _CLOSE_KINDS:
-                open_spans.pop(event.cpu_id, None)
-            continue
-        if event.kind in _OPEN_KINDS:
-            open_spans[event.cpu_id] = (event.ts_ns, _glyph(event))
-        elif event.kind in _CLOSE_KINDS:
-            opened = open_spans.pop(event.cpu_id, None)
-            if opened is not None:
-                opened_ts, glyph = opened
-                spans.setdefault(event.cpu_id, []).append(
-                    (opened_ts, event.ts_ns, glyph))
+        interval = pairer.feed(event)
+        if (interval is not None and interval.what in _OCCUPYING
+                and interval.end is event and interval.begin is not None
+                and (start_ns is None or event.ts_ns >= start_ns)):
+            add(interval, event.ts_ns)
     horizon = end_ns if end_ns is not None else last_ts
     if horizon is not None:
-        for cpu_id, (opened_ts, glyph) in open_spans.items():
-            spans.setdefault(cpu_id, []).append((opened_ts, horizon, glyph))
+        for interval in pairer.finish():
+            if interval.what in _OCCUPYING:
+                add(interval, horizon)
     return spans
 
 

@@ -26,9 +26,11 @@ from repro.obs.alerts import (
     normalize_alert_rules,
 )
 from repro.obs.analysis import (
+    InvariantEngine,
     analyze_capture,
     analyze_events,
     analyze_streams,
+    check_events,
     format_analysis,
     load_jsonl,
     write_analysis_json,
@@ -40,12 +42,7 @@ from repro.obs.export import (
     write_jsonl,
     write_metrics_json,
 )
-from repro.obs.invariants import (
-    InvariantEngine,
-    Violation,
-    check_events,
-    default_checkers,
-)
+from repro.obs.invariants import Violation, default_checkers
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.session import ObservabilitySession, current, observe
 from repro.obs.spans import (

@@ -14,17 +14,21 @@ the quantities behind the paper's Figures 4-6 and Table 2:
 * preprocessing-window hit/miss rates (probe-IRQ exits that arrived in
   time vs. premature revocations).
 
-``taichi-experiments analyze <trace.jsonl>`` wires this into the CLI,
-optionally running the :mod:`~repro.obs.invariants` catalog over the same
-stream.
+One :class:`InvariantEngine` pass pairs a stream once
+(:mod:`~repro.obs.intervals`) and feeds the pairs to the profile and to
+the :mod:`~repro.obs.invariants` catalog; it runs inline as a tracer
+hook (``observe(check_invariants=True)``) or over a capture
+(``taichi-experiments analyze <trace.jsonl>``).
 """
 
 import json
 from collections import Counter, deque
+from dataclasses import dataclass, field
 
 from repro.metrics.stats import summarize
 from repro.metrics.timeline import TimelineEvent
-from repro.obs.invariants import check_events
+from repro.obs.intervals import Pairer
+from repro.obs.invariants import default_checkers
 
 _PROFILE_QS = (50, 90, 99)
 
@@ -65,217 +69,255 @@ def load_jsonl(path):
             for key in order for _, label in (key,)]
 
 
-def analyze_events(events, dropped=0):
-    """Single-pass scheduling profile of one event stream; returns a dict."""
-    events = list(events)
-    kinds = Counter()
-    first_ts = events[0].ts_ns if events else 0
-    last_ts = events[-1].ts_ns if events else 0
+#: Kinds tallied by one detail field: kind -> field.
+_TALLIES = {"dp_idle_yield": "service", "alert.raised": "alert",
+            "fault.injected": "fault_kind", "fault.handled": "mechanism"}
 
-    pending_wake = {}          # thread -> enqueue ts
-    wake_all = []
-    wake_by_thread = {}        # thread -> [latency_ns]
 
-    sched_open = {}            # cpu -> sched_in ts
-    busy_ns = Counter()        # cpu -> occupied ns
+def _pct(ns, span_ns):
+    return round(100.0 * ns / span_ns, 3) if span_ns else 0.0
 
-    vm_open = {}               # cpu -> vmenter event
-    vcpu_stats = {}            # vcpu -> {"slices", "backed_ns"}
-    slice_durations = []
-    switch_samples = []
-    switch_by_reason = {}      # reason -> {"count","premature","total_ns"}
-    window_hits = 0
-    window_misses = 0
 
-    ipi_pending = {}           # (dst, vector) -> deque of send ts
-    ipi_latencies = []
-    ipi_unmatched_delivers = 0
-    ipi_drop_credit = Counter()  # fault drops traced before their send
+def _by_key(counts):
+    return dict(sorted(counts.items(), key=lambda item: str(item[0])))
 
-    dp_yields = Counter()      # service -> yields
 
-    alerts_raised = Counter()  # alert name -> raise count
-    alerts_cleared = 0
+class Profile:
+    """The scheduling-profile reducers of one stream: each event with
+    the interval the pairer opened or closed on it, then :meth:`report`.
+    """
 
-    faults_by_kind = Counter()
-    faults_cleared = 0
-    handled_by_mechanism = Counter()
-    ipi_fault_drops = 0
-    ipi_offline_drops = 0
-    probe_suppressed = 0
-    probe_spurious = 0
+    def __init__(self):
+        self.kinds = Counter()
+        self.first_ts = None
+        self.last_ts = 0
+        self.tallies = {kind: Counter() for kind in _TALLIES}
+        self._woken = {}           # thread -> enqueue ts
+        self.wakeups = []
+        self.wakeups_by_thread = {}  # thread -> [latency_ns]
+        self.busy_ns = Counter()   # cpu -> stint ns
+        self.vcpus = {}            # vcpu -> {"slices", "backed_ns"}
+        self.slice_ns = []
+        self.switch_ns = []
+        self.by_reason = {}        # reason -> {"count","premature","total_ns"}
+        self.ipi_ns = []
+        self.orphan_delivers = 0
 
-    for event in events:
+    def observe(self, event, interval):
         kind = event.kind
-        kinds[kind] += 1
-        if event.ts_ns > last_ts:
-            last_ts = event.ts_ns
-
-        if kind == "enqueue":
-            pending_wake[event.detail.get("thread")] = event.ts_ns
+        ts = event.ts_ns
+        self.kinds[kind] += 1
+        if self.first_ts is None:
+            self.first_ts = ts
+        if ts > self.last_ts:
+            self.last_ts = ts
+        if kind in _TALLIES:
+            self.tallies[kind][event.detail.get(_TALLIES[kind], "?")] += 1
+        elif kind == "enqueue":
+            self._woken[event.detail.get("thread")] = ts
         elif kind == "sched_in":
             thread = event.detail.get("thread")
-            woken = pending_wake.pop(thread, None)
+            woken = self._woken.pop(thread, None)
             if woken is not None:
-                latency = event.ts_ns - woken
-                wake_all.append(latency)
-                wake_by_thread.setdefault(thread, []).append(latency)
-            sched_open[event.cpu_id] = event.ts_ns
-        elif kind == "sched_out":
-            start = sched_open.pop(event.cpu_id, None)
-            if start is not None:
-                busy_ns[event.cpu_id] += event.ts_ns - start
-        elif kind == "vmenter":
-            vm_open[event.cpu_id] = event
-        elif kind == "vmexit":
-            begin = vm_open.pop(event.cpu_id, None)
+                self.wakeups.append(ts - woken)
+                self.wakeups_by_thread.setdefault(thread, []).append(
+                    ts - woken)
+        if interval is None or interval.end is not event:
+            return
+        begin = interval.begin
+        what = interval.what
+        if what == "stint":
             if begin is not None:
-                slice_durations.append(event.ts_ns - begin.ts_ns)
-            vcpu = event.detail.get("vcpu")
-            stats = vcpu_stats.setdefault(vcpu, {"slices": 0, "backed_ns": 0})
-            stats["slices"] += 1
-            if begin is not None:
-                stats["backed_ns"] += event.ts_ns - begin.ts_ns
-            cost = (event.detail.get("enter_cost_ns", 0)
-                    + event.detail.get("exit_cost_ns", 0))
-            switch_samples.append(cost)
-            reason = event.detail.get("reason", "?")
-            premature = bool(event.detail.get("premature"))
-            bucket = switch_by_reason.setdefault(
-                reason, {"count": 0, "premature": 0, "total_ns": 0})
-            bucket["count"] += 1
-            bucket["total_ns"] += cost
-            if premature:
-                bucket["premature"] += 1
-            if reason == "hw_probe_irq":
-                if premature:
-                    window_misses += 1
-                else:
-                    window_hits += 1
-        elif kind == "ipi_send":
-            key = (event.detail.get("dst"), event.detail.get("vector"))
-            if ipi_drop_credit[key] > 0:
-                ipi_drop_credit[key] -= 1  # send dropped before being traced
+                self.busy_ns[event.cpu_id] += ts - begin.ts_ns
+        elif what == "slice":
+            self._vmexit(event, begin)
+        elif what == "flight":
+            if begin is None:
+                self.orphan_delivers += 1
             else:
-                ipi_pending.setdefault(key, deque()).append(event.ts_ns)
-        elif kind == "ipi_deliver":
-            queue = ipi_pending.get((event.cpu_id, event.detail.get("vector")))
-            if queue:
-                ipi_latencies.append(event.ts_ns - queue.popleft())
-            else:
-                ipi_unmatched_delivers += 1
-        elif kind in ("fault.ipi_drop", "ipi.dropped"):
-            if kind == "fault.ipi_drop":
-                ipi_fault_drops += 1
-            else:
-                ipi_offline_drops += 1
-            key = (event.cpu_id, event.detail.get("vector"))
-            queue = ipi_pending.get(key)
-            if queue:
-                queue.popleft()
-            else:
-                ipi_drop_credit[key] += 1
-        elif kind == "dp_idle_yield":
-            dp_yields[event.detail.get("service")] += 1
-        elif kind == "alert.raised":
-            alerts_raised[event.detail.get("alert", "?")] += 1
-        elif kind == "alert.cleared":
-            alerts_cleared += 1
-        elif kind == "fault.injected":
-            faults_by_kind[event.detail.get("fault_kind", "?")] += 1
-        elif kind == "fault.cleared":
-            faults_cleared += 1
-        elif kind == "fault.handled":
-            handled_by_mechanism[event.detail.get("mechanism", "?")] += 1
-        elif kind == "fault.probe_suppress":
-            probe_suppressed += 1
-        elif kind == "fault.probe_spurious":
-            probe_spurious += 1
+                self.ipi_ns.append(ts - begin.ts_ns)
 
-    span_ns = max(last_ts - first_ts, 0)
-    # Slices/stints still open at stream end occupy their CPU until then.
-    for cpu, start in sched_open.items():
-        busy_ns[cpu] += last_ts - start
-    for cpu, begin in vm_open.items():
-        vcpu = begin.detail.get("vcpu")
-        stats = vcpu_stats.setdefault(vcpu, {"slices": 0, "backed_ns": 0})
-        stats["backed_ns"] += last_ts - begin.ts_ns
+    def _vcpu(self, vcpus, vcpu):
+        return vcpus.setdefault(vcpu, {"slices": 0, "backed_ns": 0})
 
-    probe_exits = window_hits + window_misses
-    return {
-        "events": len(events),
-        "dropped": int(dropped),
-        "span_ns": span_ns,
-        "kinds": dict(sorted(kinds.items())),
-        "wakeup_to_sched_in_ns": summarize(wake_all, qs=_PROFILE_QS),
-        "wakeup_to_sched_in_by_thread": {
-            thread: summarize(samples, qs=_PROFILE_QS)
-            for thread, samples in sorted(
-                wake_by_thread.items(), key=lambda item: str(item[0]))
-        },
-        "cpu_occupancy": {
-            cpu: {
-                "busy_ns": busy,
-                "busy_pct": round(100.0 * busy / span_ns, 3) if span_ns else 0.0,
-            }
-            for cpu, busy in sorted(busy_ns.items(), key=lambda i: str(i[0]))
-        },
-        "vcpu_occupancy": {
-            vcpu: {
-                **stats,
-                "backed_pct": (round(100.0 * stats["backed_ns"] / span_ns, 3)
-                               if span_ns else 0.0),
-            }
-            for vcpu, stats in sorted(
-                vcpu_stats.items(), key=lambda i: str(i[0]))
-        },
-        "switch_cost_ns": summarize(switch_samples, qs=_PROFILE_QS),
-        "switch_by_reason": {
-            reason: {
-                "count": bucket["count"],
-                "premature": bucket["premature"],
-                "total_cost_ns": bucket["total_ns"],
-                "mean_cost_ns": round(bucket["total_ns"] / bucket["count"], 1),
-            }
-            for reason, bucket in sorted(switch_by_reason.items())
-        },
-        "slice_duration_ns": summarize(slice_durations, qs=_PROFILE_QS),
-        "ipi_latency_ns": {
-            **summarize(ipi_latencies, qs=_PROFILE_QS),
-            "unmatched_sends": sum(
-                len(queue) for queue in ipi_pending.values()),
-            "unmatched_delivers": ipi_unmatched_delivers,
-        },
-        "preprocessing_window": {
-            "probe_exits": probe_exits,
-            "hits": window_hits,
-            "misses": window_misses,
-            "hit_rate": (round(window_hits / probe_exits, 4)
-                         if probe_exits else None),
-        },
-        "dp_idle_yields": {
-            "total": sum(dp_yields.values()),
-            "by_service": dict(sorted(
-                dp_yields.items(), key=lambda i: str(i[0]))),
-        },
-        "alerts": {
-            "raised": sum(alerts_raised.values()),
-            "cleared": alerts_cleared,
-            "by_alert": dict(sorted(alerts_raised.items())),
-        },
-        "faults": {
-            "injected": sum(faults_by_kind.values()),
-            "cleared": faults_cleared,
-            "by_kind": dict(sorted(faults_by_kind.items())),
-            "handled": sum(handled_by_mechanism.values()),
-            "handled_by_mechanism": dict(sorted(
-                handled_by_mechanism.items())),
-            "ipi_drops_injected": ipi_fault_drops,
-            "ipi_drops_offline": ipi_offline_drops,
-            "probe_irqs_suppressed": probe_suppressed,
-            "probe_irqs_spurious": probe_spurious,
-        },
-    }
+    def _vmexit(self, event, begin):
+        detail = event.detail
+        stats = self._vcpu(self.vcpus, detail.get("vcpu"))
+        stats["slices"] += 1
+        if begin is not None:
+            self.slice_ns.append(event.ts_ns - begin.ts_ns)
+            stats["backed_ns"] += event.ts_ns - begin.ts_ns
+        cost = detail.get("enter_cost_ns", 0) + detail.get("exit_cost_ns", 0)
+        self.switch_ns.append(cost)
+        bucket = self.by_reason.setdefault(
+            detail.get("reason", "?"),
+            {"count": 0, "premature": 0, "total_ns": 0})
+        bucket["count"] += 1
+        bucket["total_ns"] += cost
+        if detail.get("premature"):
+            bucket["premature"] += 1
+
+    def report(self, still_open, dropped=0):
+        """The profile dict; slices and stints in ``still_open`` occupy
+        their CPU until the last timestamp seen."""
+        kinds = self.kinds
+        last_ts = self.last_ts
+        span_ns = max(last_ts - (self.first_ts or 0), 0)
+        busy_ns = Counter(self.busy_ns)
+        vcpus = {vcpu: dict(stats) for vcpu, stats in self.vcpus.items()}
+        in_flight = 0
+        for interval in still_open:
+            if interval.what == "stint":
+                busy_ns[interval.key] += last_ts - interval.begin.ts_ns
+            elif interval.what == "slice":
+                self._vcpu(vcpus, interval.begin.detail.get("vcpu"))[
+                    "backed_ns"] += last_ts - interval.begin.ts_ns
+            elif interval.what == "flight":
+                in_flight += 1
+        probe = self.by_reason.get("hw_probe_irq", {})
+        probe_exits = probe.get("count", 0)
+        misses = probe.get("premature", 0)
+        tallies = self.tallies
+        return {
+            "events": sum(kinds.values()),
+            "dropped": int(dropped),
+            "span_ns": span_ns,
+            "kinds": dict(sorted(kinds.items())),
+            "wakeup_to_sched_in_ns": summarize(self.wakeups, qs=_PROFILE_QS),
+            "wakeup_to_sched_in_by_thread": {
+                thread: summarize(samples, qs=_PROFILE_QS)
+                for thread, samples in _by_key(self.wakeups_by_thread).items()
+            },
+            "cpu_occupancy": {
+                cpu: {"busy_ns": busy, "busy_pct": _pct(busy, span_ns)}
+                for cpu, busy in _by_key(busy_ns).items()
+            },
+            "vcpu_occupancy": {
+                vcpu: {**stats,
+                       "backed_pct": _pct(stats["backed_ns"], span_ns)}
+                for vcpu, stats in _by_key(vcpus).items()
+            },
+            "switch_cost_ns": summarize(self.switch_ns, qs=_PROFILE_QS),
+            "switch_by_reason": {
+                reason: {
+                    "count": bucket["count"],
+                    "premature": bucket["premature"],
+                    "total_cost_ns": bucket["total_ns"],
+                    "mean_cost_ns": round(
+                        bucket["total_ns"] / bucket["count"], 1),
+                }
+                for reason, bucket in sorted(self.by_reason.items())
+            },
+            "slice_duration_ns": summarize(self.slice_ns, qs=_PROFILE_QS),
+            "ipi_latency_ns": {
+                **summarize(self.ipi_ns, qs=_PROFILE_QS),
+                "unmatched_sends": in_flight,
+                "unmatched_delivers": self.orphan_delivers,
+            },
+            "preprocessing_window": {
+                "probe_exits": probe_exits,
+                "hits": probe_exits - misses,
+                "misses": misses,
+                "hit_rate": (round((probe_exits - misses) / probe_exits, 4)
+                             if probe_exits else None),
+            },
+            "dp_idle_yields": {
+                "total": kinds["dp_idle_yield"],
+                "by_service": _by_key(tallies["dp_idle_yield"]),
+            },
+            "alerts": {
+                "raised": kinds["alert.raised"],
+                "cleared": kinds["alert.cleared"],
+                "by_alert": _by_key(tallies["alert.raised"]),
+            },
+            "faults": {
+                "injected": kinds["fault.injected"],
+                "cleared": kinds["fault.cleared"],
+                "by_kind": _by_key(tallies["fault.injected"]),
+                "handled": kinds["fault.handled"],
+                "handled_by_mechanism": _by_key(tallies["fault.handled"]),
+                "ipi_drops_injected": kinds["fault.ipi_drop"],
+                "ipi_drops_offline": kinds["ipi.dropped"],
+                "probe_irqs_suppressed": kinds["fault.probe_suppress"],
+                "probe_irqs_spurious": kinds["fault.probe_spurious"],
+            },
+        }
+
+
+@dataclass
+class InvariantEngine:
+    """One pass over one event stream: pairs it once
+    (:class:`~repro.obs.intervals.Pairer`) and runs the checkers and the
+    scheduling :class:`Profile` over the pairs.
+
+    Feed events through :meth:`observe` (usable directly as a tracer
+    hook), then call :meth:`finish` once for end-of-stream checks and
+    :meth:`report` for the profile.  Keeps a short ring of recent events
+    and attaches it to each violation as context.
+    """
+
+    checkers: list = None
+    context_events: int = 4
+    max_violations: int = 1_000
+
+    violations: list = field(default_factory=list, init=False)
+    overflowed: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        if self.checkers is None:
+            self.checkers = default_checkers()
+        self.pairer = Pairer()
+        self.profile = Profile()
+        self._recent = deque(maxlen=self.context_events)
+        self._finished = False
+
+    def observe(self, event):
+        interval = self.pairer.feed(event)
+        self.profile.observe(event, interval)
+        for checker in self.checkers:
+            for violation in checker.observe(event, interval, self.pairer):
+                if not violation.context:
+                    violation.context = tuple(self._recent)
+                self._add(violation)
+        self._recent.append(event)
+
+    def finish(self):
+        """End-of-stream checks; idempotent.  Returns all violations."""
+        if not self._finished:
+            self._finished = True
+            still_open = self.pairer.finish()
+            for checker in self.checkers:
+                for violation in checker.finish(self.profile.last_ts,
+                                                still_open):
+                    self._add(violation)
+        return self.violations
+
+    def report(self, dropped=0):
+        """The stream's scheduling profile (see :func:`analyze_events`)."""
+        return self.profile.report(self.pairer.finish(), dropped=dropped)
+
+    def _add(self, violation):
+        if len(self.violations) >= self.max_violations:
+            self.overflowed += 1
+            return
+        self.violations.append(violation)
+
+
+def _engine(events, checkers):
+    engine = InvariantEngine(checkers=checkers)
+    for event in events:
+        engine.observe(event)
+    return engine
+
+
+def check_events(events, checkers=None):
+    """Post-hoc convenience: run checkers over ``events``, return violations."""
+    return _engine(events, checkers).finish()
+
+
+def analyze_events(events, dropped=0):
+    """Single-pass scheduling profile of one event stream; returns a dict."""
+    return _engine(events, []).report(dropped=dropped)
 
 
 def _normalize(streams):
@@ -311,7 +353,8 @@ def analyze_streams(streams, check_invariants=True, checkers=None):
     violations = []
     for label, events, meta in _normalize(streams):
         dropped = int(meta.get("dropped", 0) or 0)
-        reports[label] = analyze_events(events, dropped=dropped)
+        engine = _engine(events, checkers if check_invariants else [])
+        reports[label] = engine.report(dropped=dropped)
         if dropped:
             mode = meta.get("mode", "ring")
             if meta.get("stream_type") == "telemetry" or "snapshots" in meta:
@@ -324,10 +367,7 @@ def analyze_streams(streams, check_invariants=True, checkers=None):
                     f"stream {label!r}: {dropped} events dropped ({mode} "
                     "mode) — the profile covers a truncated stream and "
                     "pairing violations may be capture artifacts")
-        if check_invariants:
-            violations.extend(
-                (label, violation)
-                for violation in check_events(events, checkers=checkers))
+        violations.extend((label, violation) for violation in engine.finish())
     return {"streams": reports, "warnings": warnings,
             "violations": violations}
 

@@ -19,14 +19,13 @@ environment; each stream becomes one Chrome ``pid``).
 import enum
 import json
 
-# Slice pairs: begin-kind -> (end-kind, category, name function).
-_SLICE_BEGIN = {
-    "sched_in": ("sched_out", "kernel",
-                 lambda e: str(e.detail.get("thread", "?"))),
-    "vmenter": ("vmexit", "virt",
-                lambda e: f"vcpu {e.detail.get('vcpu', '?')}"),
+from repro.obs.intervals import Pairer
+
+# Duration slices: interval kind -> (category, name of its begin event).
+_SLICES = {
+    "stint": ("kernel", lambda e: str(e.detail.get("thread", "?"))),
+    "slice": ("virt", lambda e: f"vcpu {e.detail.get('vcpu', '?')}"),
 }
-_SLICE_END = {end: begin for begin, (end, _, _) in _SLICE_BEGIN.items()}
 
 # Counter-track kinds: kind -> args key holding the sampled value.
 _COUNTER_KINDS = {"rq_depth": "depth"}
@@ -89,8 +88,7 @@ def chrome_trace(trace_source):
             {"pid": pid, "stream": label},
             **{key: _jsonable(val) for key, val in meta.items()}))
         tids = {}
-        opens = {}
-        span_opens = {}
+        pairer = Pairer()
         last_ts = 0
 
         def tid_for(cpu_id):
@@ -104,39 +102,40 @@ def chrome_trace(trace_source):
                 })
             return tid
 
+        def slice_event(interval, dur_us, args):
+            cat, name_fn = _SLICES[interval.what]
+            return {
+                "ph": "X", "name": name_fn(interval.begin), "cat": cat,
+                "ts": interval.begin.ts_ns / 1000.0, "dur": dur_us,
+                "pid": pid, "tid": tid_for(interval.key), "args": args,
+            }
+
         for event in tracer:
             ts_us = event.ts_ns / 1000.0
             last_ts = max(last_ts, event.ts_ns)
             kind = event.kind
-            if kind in _SLICE_BEGIN:
-                opens[(event.cpu_id, kind)] = event
-                continue
-            if kind in _SLICE_END:
-                begin_kind = _SLICE_END[kind]
-                begin = opens.pop((event.cpu_id, begin_kind), None)
-                if begin is None:
+            interval = pairer.feed(event)
+            if interval is not None and interval.what in _SLICES:
+                if interval.end is None:
+                    continue          # drawn when it closes
+                if interval.begin is None:
                     # Unmatched end (begin fell out of the ring buffer):
                     # degrade to an instant so the event still shows up.
                     trace_events.append({
                         "ph": "i", "s": "t", "name": kind,
-                        "cat": _SLICE_BEGIN[begin_kind][1],
+                        "cat": _SLICES[interval.what][0],
                         "ts": ts_us, "pid": pid, "tid": tid_for(event.cpu_id),
                         "args": _args(event),
                     })
                     continue
-                _, cat, name_fn = _SLICE_BEGIN[begin_kind]
-                args = _args(begin)
+                args = _args(interval.begin)
                 args.update(_args(event))
-                trace_events.append({
-                    "ph": "X", "name": name_fn(begin), "cat": cat,
-                    "ts": begin.ts_ns / 1000.0,
-                    "dur": (event.ts_ns - begin.ts_ns) / 1000.0,
-                    "pid": pid, "tid": tid_for(event.cpu_id), "args": args,
-                })
+                trace_events.append(slice_event(
+                    interval, (event.ts_ns - interval.begin.ts_ns) / 1000.0,
+                    args))
                 continue
             if kind == "span.begin":
                 args = _args(event)
-                span_opens[args.get("span")] = event
                 trace_events.append({
                     "ph": "b", "cat": "span", "id": args.get("request"),
                     "name": args.get("name", "span"), "ts": ts_us,
@@ -145,7 +144,7 @@ def chrome_trace(trace_source):
                 continue
             if kind == "span.end":
                 args = _args(event)
-                begin = span_opens.pop(args.get("span"), None)
+                begin = interval.begin
                 trace_events.append({
                     "ph": "e", "cat": "span", "id": args.get("request"),
                     "name": args.get("name", "span"), "ts": ts_us,
@@ -197,15 +196,12 @@ def chrome_trace(trace_source):
             })
 
         # Close slices still open at trace end so they remain visible.
-        for (cpu_id, begin_kind), begin in opens.items():
-            _, cat, name_fn = _SLICE_BEGIN[begin_kind]
-            trace_events.append({
-                "ph": "X", "name": name_fn(begin), "cat": cat,
-                "ts": begin.ts_ns / 1000.0,
-                "dur": max((last_ts - begin.ts_ns) / 1000.0, 0.001),
-                "pid": pid, "tid": tid_for(cpu_id),
-                "args": dict(_args(begin), open_at_trace_end=True),
-            })
+        for interval in pairer.finish():
+            if interval.what in _SLICES:
+                trace_events.append(slice_event(
+                    interval,
+                    max((last_ts - interval.begin.ts_ns) / 1000.0, 0.001),
+                    dict(_args(interval.begin), open_at_trace_end=True)))
 
     return {
         "traceEvents": trace_events,

@@ -1,12 +1,14 @@
-"""Streaming causal-invariant checkers for trace streams.
+"""Causal-invariant checkers for trace streams.
 
 The simulator's causal story — every IPI delivered, every ``vmenter``
 paired with a ``vmexit``, no thread on two CPUs at once — is encoded here
-as small pluggable checkers.  Each checker consumes one event at a time,
-so the same objects run **inline** during a simulation (hooked into a
-tracer via :meth:`~repro.sim.environment.Environment.add_trace_hook` or
-``observe(check_invariants=True)``) or **post-hoc** over a capture
-(:func:`check_events`, or ``taichi-experiments analyze``).
+as small pluggable checkers.  Each checker reads one event at a time,
+together with the interval the stream's
+:class:`~repro.obs.intervals.Pairer` opened or closed on it, so the same
+objects run **inline** during a simulation
+(``observe(check_invariants=True)``) or **post-hoc** over a capture
+(:func:`~repro.obs.analysis.check_events`, or ``taichi-experiments
+analyze``); :class:`~repro.obs.analysis.InvariantEngine` drives them.
 
 Violations fail loudly: each carries the checker name, a precise message,
 the offending event, and the events that led up to it.
@@ -18,8 +20,9 @@ drop count next to any violations; inline checking never has this
 problem because hooks see events before the capacity policy drops them.
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.obs.intervals import OPENERS
 
 
 @dataclass
@@ -49,21 +52,72 @@ class Violation:
 
 
 class InvariantChecker:
-    """Base class: feed events through :meth:`observe`, then :meth:`finish`.
-
-    Both return an iterable of :class:`Violation`.  Checkers are cheap,
-    single-pass, and keep O(open-state) memory so they can run inline on
-    multi-million-event streams.
+    """Base class: the engine calls :meth:`observe` with each event, the
+    interval the pairer opened or closed on it (or None) and the pairer,
+    then :meth:`finish` once.  Both return an iterable of
+    :class:`Violation`.  Checkers are cheap, single-pass, and keep
+    O(open-state) memory so they can run inline on multi-million-event
+    streams.
     """
 
     name = "invariant"
 
-    def observe(self, event):
+    def observe(self, event, interval, pairer):
         return ()
 
-    def finish(self, last_ts_ns):
+    def finish(self, last_ts_ns, still_open):
         """Called once after the stream ends; ``last_ts_ns`` is the final
-        timestamp seen (0 for an empty stream)."""
+        timestamp seen (0 for an empty stream) and ``still_open`` the
+        intervals the pairer still holds open."""
+        return ()
+
+
+class PairingChecker(InvariantChecker):
+    """Violations for the pairer's anomalies on the interval kinds in
+    ``whats``: a begin that displaced an open one (worded by the
+    ``doubled`` template), an end with nothing open (``orphan``), and an
+    end naming another thread, vCPU or span name than its begin.  The
+    templates format ``kind`` (the event's), ``key``, ``interval`` and
+    ``opener`` (the begin kind of the interval's kind).
+    Subclasses add rules on openings (:meth:`opened`) and closes
+    (:meth:`closed`).
+    """
+
+    whats = ()
+    doubled = orphan = ""
+
+    def observe(self, event, interval, pairer):
+        if interval is None or interval.what not in self.whats:
+            return ()
+        if interval.begin is None:
+            return self._flag(self.orphan, event, interval)
+        if interval.end is None:
+            if interval.stale is not None:
+                return self._flag(self.doubled, event, interval,
+                                  interval.stale.begin)
+            return self.opened(event, interval, pairer)
+        field, begin = interval.mismatch, interval.begin
+        if field is None:
+            return self.closed(event, interval)
+        return [Violation(
+            self.name,
+            f"{event.kind} on cpu {event.cpu_id!r} closes "
+            f"{field}={event.detail.get(field)!r} but the open "
+            f"{begin.kind} was {field}={begin.detail.get(field)!r}",
+            event,
+            context=(begin,),
+        ), *self.closed(event, interval)]
+
+    def _flag(self, template, event, interval, *context):
+        message = template.format(kind=event.kind, key=interval.key,
+                                  interval=interval,
+                                  opener=OPENERS[interval.what])
+        return [Violation(self.name, message, event, context)]
+
+    def opened(self, event, interval, pairer):
+        return ()
+
+    def closed(self, event, interval):
         return ()
 
 
@@ -75,7 +129,7 @@ class MonotonicTimestamps(InvariantChecker):
     def __init__(self):
         self._last_ts = None
 
-    def observe(self, event):
+    def observe(self, event, interval, pairer):
         out = []
         if self._last_ts is not None and event.ts_ns < self._last_ts:
             out.append(Violation(
@@ -91,63 +145,32 @@ class MonotonicTimestamps(InvariantChecker):
 class IpiDeliveryBound(InvariantChecker):
     """Every ``ipi_send`` must produce a matching ``ipi_deliver`` in time.
 
-    Sends and delivers are matched FIFO per (destination CPU, vector).
-    A delivery later than ``bound_ns`` after its send — or a send never
-    delivered at all by ``bound_ns`` before stream end — is a violation.
-    Deliveries without a send are legal (``IPIController.deliver`` is also
-    the device-IRQ path and bypasses the send hook).
+    A flight delivered later than ``bound_ns`` after its send — or still
+    in flight ``bound_ns`` before stream end — is a violation.  Injected
+    delivery delays (the flight's ``grace``) extend the bound, each
+    nanosecond of grace once.  Deliveries without a send are legal
+    (``IPIController.deliver`` is also the device-IRQ path and bypasses
+    the send hook).
     """
 
     name = "ipi_delivery_bound"
 
-    _DROP_KINDS = ("fault.ipi_drop", "ipi.dropped")
-
     def __init__(self, bound_ns=1_000_000):
         self.bound_ns = int(bound_ns)
-        self._pending = {}     # (dst, vector) -> deque of send events
-        self._drop_credit = {}   # (dst, vector) -> drops seen before the send
-        self._delay_grace = {}   # (dst, vector) -> injected extra latency, ns
+        self._used = {}        # (dst, vector) -> grace spent so far, ns
 
-    def observe(self, event):
-        if event.kind == "ipi_send":
-            key = (event.detail.get("dst"), event.detail.get("vector"))
-            # A fault drop recorded just before this send (the orchestrator
-            # hook runs — and may drop — before ``ipi_send`` is traced)
-            # means this send will never be delivered, legitimately.
-            if self._drop_credit.get(key, 0) > 0:
-                self._drop_credit[key] -= 1
-                return ()
-            self._pending.setdefault(key, deque()).append(event)
+    def observe(self, event, interval, pairer):
+        if (interval is None or interval.what != "flight"
+                or interval.end is not event or interval.begin is None):
             return ()
-        if event.kind in self._DROP_KINDS:
-            # Injected or offline drop: forgive the oldest in-flight send.
-            key = (event.cpu_id, event.detail.get("vector"))
-            queue = self._pending.get(key)
-            if queue:
-                queue.popleft()
-            else:
-                self._drop_credit[key] = self._drop_credit.get(key, 0) + 1
-            return ()
-        if event.kind == "fault.ipi_delay":
-            key = (event.cpu_id, event.detail.get("vector"))
-            self._delay_grace[key] = (
-                self._delay_grace.get(key, 0)
-                + int(event.detail.get("extra_ns", 0)))
-            return ()
-        if event.kind != "ipi_deliver":
-            return ()
-        key = (event.cpu_id, event.detail.get("vector"))
-        queue = self._pending.get(key)
-        if not queue:
-            return ()
-        send = queue.popleft()
+        send = interval.begin
+        key = interval.key
         dt = event.ts_ns - send.ts_ns
         if dt > self.bound_ns:
-            # Injected delivery delays extend the bound; consume the grace.
-            grace = self._delay_grace.get(key, 0)
+            grace = interval.grace - self._used.get(key, 0)
             if grace > 0:
                 used = min(grace, dt - self.bound_ns)
-                self._delay_grace[key] = grace - used
+                self._used[key] = self._used.get(key, 0) + used
                 dt -= used
         if dt > self.bound_ns:
             return [Violation(
@@ -159,25 +182,26 @@ class IpiDeliveryBound(InvariantChecker):
             )]
         return ()
 
-    def finish(self, last_ts_ns):
+    def finish(self, last_ts_ns, still_open):
         out = []
-        for (dst, vector), queue in sorted(
-                self._pending.items(), key=lambda item: str(item[0])):
-            grace = self._delay_grace.get((dst, vector), 0)
-            for send in queue:
-                overdue = last_ts_ns - send.ts_ns
-                if overdue > self.bound_ns + grace:
-                    out.append(Violation(
-                        self.name,
-                        f"IPI {vector!r} to cpu {dst!r} sent at "
-                        f"{send.ts_ns} ns was never delivered "
-                        f"({overdue} ns elapsed, bound {self.bound_ns} ns)",
-                        send,
-                    ))
+        flights = [interval for interval in still_open
+                   if interval.what == "flight"]
+        for flight in sorted(flights, key=lambda flight: str(flight.key)):
+            (dst, vector), send = flight.key, flight.begin
+            grace = flight.grace - self._used.get(flight.key, 0)
+            overdue = last_ts_ns - send.ts_ns
+            if overdue > self.bound_ns + grace:
+                out.append(Violation(
+                    self.name,
+                    f"IPI {vector!r} to cpu {dst!r} sent at "
+                    f"{send.ts_ns} ns was never delivered "
+                    f"({overdue} ns elapsed, bound {self.bound_ns} ns)",
+                    send,
+                ))
         return out
 
 
-class SlicePairNesting(InvariantChecker):
+class SlicePairNesting(PairingChecker):
     """``sched_in/out`` and ``vmenter/vmexit`` must pair up per CPU.
 
     A begin while the same kind is already open on that CPU, an end with
@@ -187,49 +211,10 @@ class SlicePairNesting(InvariantChecker):
     """
 
     name = "slice_pair_nesting"
-
-    _PAIRS = {"sched_in": ("sched_out", "thread"),
-              "vmenter": ("vmexit", "vcpu")}
-    _ENDS = {end: (begin, ident) for begin, (end, ident) in _PAIRS.items()}
-
-    def __init__(self):
-        self._open = {}        # (cpu, begin_kind) -> begin event
-
-    def observe(self, event):
-        kind = event.kind
-        if kind in self._PAIRS:
-            key = (event.cpu_id, kind)
-            stale = self._open.get(key)
-            self._open[key] = event
-            if stale is not None:
-                return [Violation(
-                    self.name,
-                    f"nested {kind} on cpu {event.cpu_id!r}: previous "
-                    f"{kind} at {stale.ts_ns} ns never closed",
-                    event,
-                    context=(stale,),
-                )]
-            return ()
-        if kind in self._ENDS:
-            begin_kind, ident = self._ENDS[kind]
-            begin = self._open.pop((event.cpu_id, begin_kind), None)
-            if begin is None:
-                return [Violation(
-                    self.name,
-                    f"unpaired {kind} on cpu {event.cpu_id!r}: no open "
-                    f"{begin_kind}",
-                    event,
-                )]
-            if begin.detail.get(ident) != event.detail.get(ident):
-                return [Violation(
-                    self.name,
-                    f"{kind} on cpu {event.cpu_id!r} closes "
-                    f"{ident}={event.detail.get(ident)!r} but the open "
-                    f"{begin_kind} was {ident}={begin.detail.get(ident)!r}",
-                    event,
-                    context=(begin,),
-                )]
-        return ()
+    whats = ("stint", "slice")
+    doubled = ("nested {kind} on cpu {key!r}: previous {kind} at "
+               "{interval.stale.begin.ts_ns} ns never closed")
+    orphan = "unpaired {kind} on cpu {key!r}: no open {opener}"
 
 
 class SingleCpuPerThread(InvariantChecker):
@@ -241,10 +226,12 @@ class SingleCpuPerThread(InvariantChecker):
     def __init__(self):
         self._running = {}     # thread -> sched_in event
 
-    def observe(self, event):
-        if event.kind == "sched_in":
-            thread = event.detail.get("thread")
-            active = self._running.get(thread)
+    def observe(self, event, interval, pairer):
+        if interval is None or interval.what != "stint":
+            return ()
+        thread = event.detail.get("thread")
+        active = self._running.get(thread)
+        if interval.end is None:
             self._running[thread] = event
             if active is not None and active.cpu_id != event.cpu_id:
                 return [Violation(
@@ -254,11 +241,8 @@ class SingleCpuPerThread(InvariantChecker):
                     event,
                     context=(active,),
                 )]
-        elif event.kind == "sched_out":
-            thread = event.detail.get("thread")
-            active = self._running.get(thread)
-            if active is not None and active.cpu_id == event.cpu_id:
-                del self._running[thread]
+        elif active is not None and active.cpu_id == event.cpu_id:
+            del self._running[thread]
         return ()
 
 
@@ -277,7 +261,7 @@ class IdleYieldThreshold(InvariantChecker):
         self.poll_ns = int(poll_ns)
         self._floor = {}       # cpu -> last vmexit/dp_idle_yield event
 
-    def observe(self, event):
+    def observe(self, event, interval, pairer):
         if event.kind == "vmexit":
             self._floor[event.cpu_id] = event
             return ()
@@ -315,7 +299,7 @@ class RunQueueDepthConsistency(InvariantChecker):
     def __init__(self):
         self._prev = None      # immediately preceding event in the stream
 
-    def observe(self, event):
+    def observe(self, event, interval, pairer):
         prev, self._prev = self._prev, event
         if event.kind != "rq_depth":
             return ()
@@ -340,7 +324,7 @@ class RunQueueDepthConsistency(InvariantChecker):
         return ()
 
 
-class FaultRecoveryChecker(InvariantChecker):
+class FaultRecoveryChecker(PairingChecker):
     """Every injected fault must be cleared, and clears must have causes.
 
     The fault injector brackets each fault occurrence with
@@ -351,170 +335,113 @@ class FaultRecoveryChecker(InvariantChecker):
     """
 
     name = "fault_recovery"
+    whats = ("fault",)
+    doubled = "fault {key!r} injected twice without an intervening clear"
+    orphan = "fault {key!r} cleared but never injected"
 
-    def __init__(self):
-        self._open = {}        # fault id -> fault.injected event
-
-    def observe(self, event):
-        if event.kind == "fault.injected":
-            fault_id = event.detail.get("fault")
-            stale = self._open.get(fault_id)
-            self._open[fault_id] = event
-            if stale is not None:
-                return [Violation(
-                    self.name,
-                    f"fault {fault_id!r} injected twice without an "
-                    f"intervening clear",
-                    event,
-                    context=(stale,),
-                )]
-            return ()
-        if event.kind != "fault.cleared":
-            return ()
-        fault_id = event.detail.get("fault")
-        if self._open.pop(fault_id, None) is None:
-            return [Violation(
-                self.name,
-                f"fault {fault_id!r} cleared but never injected",
-                event,
-            )]
-        return ()
-
-    def finish(self, last_ts_ns):
+    def finish(self, last_ts_ns, still_open):
         out = []
-        for fault_id, event in sorted(self._open.items()):
-            until_ns = event.detail.get("until_ns")
+        faults = [interval for interval in still_open
+                  if interval.what == "fault"]
+        for fault in sorted(faults, key=lambda fault: fault.key):
+            until_ns = fault.begin.detail.get("until_ns")
             if isinstance(until_ns, int) and last_ts_ns < until_ns:
                 continue  # the capture simply ended inside the window
             out.append(Violation(
                 self.name,
-                f"fault {fault_id!r} injected at {event.ts_ns} ns was "
-                f"never cleared",
-                event,
+                f"fault {fault.key!r} injected at {fault.begin.ts_ns} ns "
+                f"was never cleared",
+                fault.begin,
             ))
         return out
 
 
-class AlertPairingChecker(InvariantChecker):
+class AlertPairingChecker(PairingChecker):
     """``alert.raised`` / ``alert.cleared`` must pair per alert name.
 
     The SLO monitor's hysteresis state machine guarantees one active
     firing per rule: a second raise without an intervening clear means
     the monitor's bookkeeping broke, and a clear with no open raise is a
     corrupt stream.  Alerts still active at stream end are legal (the
-    run ended mid-incident), mirroring :class:`FaultRecoveryChecker`.
+    run ended mid-incident).
     """
 
     name = "alert_pairing"
-
-    def __init__(self):
-        self._open = {}        # (node, alert name) -> alert.raised event
-
-    @staticmethod
-    def _key(event):
-        return (event.detail.get("node"), event.detail.get("alert"))
-
-    def observe(self, event):
-        if event.kind == "alert.raised":
-            key = self._key(event)
-            stale = self._open.get(key)
-            self._open[key] = event
-            if stale is not None:
-                return [Violation(
-                    self.name,
-                    f"alert {key[1]!r} raised twice without an "
-                    f"intervening clear",
-                    event,
-                    context=(stale,),
-                )]
-            return ()
-        if event.kind != "alert.cleared":
-            return ()
-        key = self._key(event)
-        if self._open.pop(key, None) is None:
-            return [Violation(
-                self.name,
-                f"alert {key[1]!r} cleared but never raised",
-                event,
-            )]
-        return ()
+    whats = ("alert",)
+    doubled = "alert {key[1]!r} raised twice without an intervening clear"
+    orphan = "alert {key[1]!r} cleared but never raised"
 
 
-class SpanPairingChecker(InvariantChecker):
+class SpanPairingChecker(PairingChecker):
     """``span.begin`` / ``span.end`` must pair, and children must nest.
 
-    Each span id may begin once and end once; a child's begin must fall
-    inside an open parent carrying the same request id, and a parent must
-    not end while any of its children are still open.  Spans still open
-    at stream end are legal (the run ended mid-request — startups past
-    the drain horizon, packets still queued), mirroring
-    :class:`AlertPairingChecker`.
+    Each span id may begin once and end once, under the ``name`` it began
+    with; a child's begin must fall inside an open parent carrying the
+    same request id; a parent must not end while any of its children are
+    still open; and a root's ``parts`` must sum to its ``duration_ns``.
+    Spans still open at stream end are legal (the run ended mid-request —
+    startups past the drain horizon, packets still queued).
     """
 
     name = "span_pairing"
+    whats = ("span",)
+    doubled = "span {key!r} begun twice without an end"
+    orphan = "span {key!r} ended but never begun"
 
     def __init__(self):
-        self._open = {}           # span id -> span.begin event
         self._open_children = {}  # parent span id -> open child count
 
-    def observe(self, event):
-        if event.kind == "span.begin":
-            detail = event.detail
-            span_id = detail.get("span")
-            stale = self._open.get(span_id)
-            self._open[span_id] = event
-            if stale is not None:
-                return [Violation(
-                    self.name,
-                    f"span {span_id!r} begun twice without an end",
-                    event,
-                    context=(stale,),
-                )]
-            parent = detail.get("parent")
-            if parent is not None:
-                parent_begin = self._open.get(parent)
-                if parent_begin is None:
-                    return [Violation(
-                        self.name,
-                        f"span {span_id!r} begun under parent {parent!r} "
-                        f"which is not open",
-                        event,
-                    )]
-                if (parent_begin.detail.get("request")
-                        != detail.get("request")):
-                    return [Violation(
-                        self.name,
-                        f"span {span_id!r} (request "
-                        f"{detail.get('request')!r}) nests under parent "
-                        f"{parent!r} of request "
-                        f"{parent_begin.detail.get('request')!r}",
-                        event,
-                        context=(parent_begin,),
-                    )]
-                self._open_children[parent] = (
-                    self._open_children.get(parent, 0) + 1)
+    def opened(self, event, interval, pairer):
+        parent = event.detail.get("parent")
+        if parent is None:
             return ()
-        if event.kind != "span.end":
-            return ()
-        span_id = event.detail.get("span")
-        begin = self._open.pop(span_id, None)
-        if begin is None:
+        parent_open = pairer.open.get(("span", parent))
+        if parent_open is None:
             return [Violation(
                 self.name,
-                f"span {span_id!r} ended but never begun",
+                f"span {interval.key!r} begun under parent {parent!r} "
+                f"which is not open",
                 event,
             )]
+        request = event.detail.get("request")
+        parent_request = parent_open.begin.detail.get("request")
+        if parent_request != request:
+            return [Violation(
+                self.name,
+                f"span {interval.key!r} (request {request!r}) nests under "
+                f"parent {parent!r} of request {parent_request!r}",
+                event,
+                context=(parent_open.begin,),
+            )]
+        self._open_children[parent] = self._open_children.get(parent, 0) + 1
+        return ()
+
+    def closed(self, event, interval):
+        span_id, begin = interval.key, interval.begin
         parent = begin.detail.get("parent")
+        out = []
         if parent is not None and self._open_children.get(parent):
             self._open_children[parent] -= 1
         if self._open_children.pop(span_id, 0):
-            return [Violation(
+            out.append(Violation(
                 self.name,
                 f"span {span_id!r} ended while a child span is still open",
                 event,
                 context=(begin,),
-            )]
-        return ()
+            ))
+        parts = event.detail.get("parts")
+        duration = event.detail.get("duration_ns")
+        if parent is None and parts is not None and duration is not None:
+            total = sum(part[2] - part[1] for part in parts)
+            if total != duration:
+                out.append(Violation(
+                    self.name,
+                    f"span {span_id!r} parts sum to {total} ns but its "
+                    f"duration_ns is {duration} ns",
+                    event,
+                    context=(begin,),
+                ))
+        return out
 
 
 class TenantFairShareChecker(InvariantChecker):
@@ -534,7 +461,7 @@ class TenantFairShareChecker(InvariantChecker):
     def __init__(self, slack_ns=1_000):
         self.slack_ns = int(slack_ns)
 
-    def observe(self, event):
+    def observe(self, event, interval, pairer):
         if event.kind != "tenant.pick":
             return ()
         chosen = event.detail.get("tenant")
@@ -569,7 +496,7 @@ class TenantGrantConservation(InvariantChecker):
         self._per_tenant = {}
         self._total = 0
 
-    def observe(self, event):
+    def observe(self, event, interval, pairer):
         if event.kind != "tenant.grant":
             return ()
         tenant = event.detail.get("tenant")
@@ -618,61 +545,3 @@ DEFAULT_CHECKERS = (
 def default_checkers():
     """Fresh instances of the full checker catalog."""
     return [checker() for checker in DEFAULT_CHECKERS]
-
-
-@dataclass
-class InvariantEngine:
-    """Runs a set of checkers over one event stream.
-
-    Feed events through :meth:`observe` (usable directly as a tracer
-    hook), then call :meth:`finish` once for end-of-stream checks.  Keeps
-    a short ring of recent events and attaches it to each violation as
-    context.
-    """
-
-    checkers: list = None
-    context_events: int = 4
-    max_violations: int = 1_000
-
-    violations: list = field(default_factory=list, init=False)
-    overflowed: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        if self.checkers is None:
-            self.checkers = default_checkers()
-        self._recent = deque(maxlen=self.context_events)
-        self._last_ts = 0
-        self._finished = False
-
-    def observe(self, event):
-        for checker in self.checkers:
-            for violation in checker.observe(event):
-                if not violation.context:
-                    violation.context = tuple(self._recent)
-                self._add(violation)
-        self._recent.append(event)
-        if event.ts_ns > self._last_ts:
-            self._last_ts = event.ts_ns
-
-    def finish(self):
-        """End-of-stream checks; idempotent.  Returns all violations."""
-        if not self._finished:
-            self._finished = True
-            for checker in self.checkers:
-                for violation in checker.finish(self._last_ts):
-                    self._add(violation)
-        return self.violations
-
-    def _add(self, violation):
-        if len(self.violations) >= self.max_violations:
-            self.overflowed += 1
-            return
-        self.violations.append(violation)
-
-
-def check_events(events, checkers=None):
-    """Post-hoc convenience: run checkers over ``events``, return violations."""
-    engine = InvariantEngine(checkers=checkers)
-    for event in events:
-        engine.observe(event)
-    return engine.finish()

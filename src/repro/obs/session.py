@@ -28,10 +28,11 @@ class ObservabilitySession:
     ``trace=True`` alone makes the adopted tracers *retain* events, so
     :meth:`events` and the exporters see them.  With
     ``check_invariants=True`` every adopted environment also gets a
-    streaming :class:`~repro.obs.invariants.InvariantEngine` hooked into
+    streaming :class:`~repro.obs.analysis.InvariantEngine` hooked into
     its tracer, verifying the causal invariants (IPI delivery, slice
-    pairing, single-CPU-per-thread, ...) inline while the simulation
-    runs; :meth:`violations` collects the findings.  The hook sees every
+    pairing, single-CPU-per-thread, ...) and profiling the stream inline
+    while the simulation runs; :meth:`violations` collects the findings
+    and each engine's ``report()`` its profile.  The hook sees every
     event, but without ``trace=True`` nothing is stored.  Likewise
     ``spans=True`` alone hooks the span tracker and keeps no trace.
     """
@@ -52,7 +53,7 @@ class ObservabilitySession:
         label = label or f"env{len(self.streams)}"
         tracer = Tracer(enabled=self.trace)
         if self.check_invariants:
-            from repro.obs.invariants import InvariantEngine
+            from repro.obs.analysis import InvariantEngine
 
             engine = InvariantEngine()
             tracer.add_hook(engine.observe)  # enables, but retains nothing

@@ -54,6 +54,7 @@ event and every decomposition.
 from collections import defaultdict, deque
 
 from repro.metrics.stats import summarize
+from repro.obs.intervals import Pairer
 
 #: Default tail-exemplar retention per channel.
 DEFAULT_EXEMPLAR_K = 4
@@ -219,10 +220,9 @@ class SpanTracker:
 
         # Flat-stream attribution state.
         self._cpu_iv = defaultdict(deque)  # cpu -> [(t0, t1, kind, extra)]
-        self._open_vm = {}         # cpu -> vmenter ts
+        self._pairs = Pairer()     # vCPU slices and IPI flights
         self._open_dp = {}         # cpu -> dp-thread sched_in ts
         self._dp_threads = set()   # registered DP service thread names
-        self._ipi_pending = {}     # (dst, vector) -> deque[send ts]
         self._watched = {}         # thread name -> wait/run bookkeeping
 
     # -- Lifecycle ----------------------------------------------------------------
@@ -290,35 +290,24 @@ class SpanTracker:
         kind = event.kind
         if kind not in _HANDLED_KINDS:
             return
-        detail = event.detail
-        if kind == "vmenter":
-            self._open_vm[event.cpu_id] = event.ts_ns
-        elif kind == "vmexit":
-            t0 = self._open_vm.pop(event.cpu_id, None)
-            if t0 is not None:
-                self._add_interval(event.cpu_id, t0, event.ts_ns, "vcpu",
-                                   detail.get("exit_cost_ns", 0))
-        elif kind == "ipi_send":
-            if not detail.get("routed"):
-                key = (detail.get("dst"), detail.get("vector"))
-                self._ipi_pending.setdefault(key, deque()).append(event.ts_ns)
-        elif kind == "ipi_deliver":
-            queue = self._ipi_pending.get(
-                (event.cpu_id, detail.get("vector")))
-            if queue:
-                self._add_interval(event.cpu_id, queue.popleft(),
-                                   event.ts_ns, "ipi")
-        elif kind == "hwprobe_irq":
+        if kind == "hwprobe_irq":
             # The preempt IRQ is traced at fire time with its delivery
             # latency, so the in-flight window is known up front.
             self._add_interval(event.cpu_id, event.ts_ns,
-                               event.ts_ns + detail.get("latency_ns", 0),
+                               event.ts_ns + event.detail.get("latency_ns", 0),
                                "ipi")
-        else:  # fault.ipi_drop / ipi.dropped: that send never delivers
-            queue = self._ipi_pending.get(
-                (event.cpu_id, detail.get("vector")))
-            if queue:
-                queue.popleft()
+            return
+        interval = self._pairs.feed(event)
+        if (interval is None or interval.end is not event
+                or interval.begin is None):
+            return
+        if interval.what == "slice":
+            self._add_interval(event.cpu_id, interval.begin.ts_ns,
+                               event.ts_ns, "vcpu",
+                               event.detail.get("exit_cost_ns", 0))
+        elif not interval.routed:
+            self._add_interval(event.cpu_id, interval.begin.ts_ns,
+                               event.ts_ns, "ipi")
 
     def _add_interval(self, cpu_id, t0, t1, kind, extra=0):
         intervals = self._cpu_iv[cpu_id]
@@ -483,9 +472,9 @@ class SpanTracker:
                 segs.append((cut, b, "switch"))
             else:
                 segs.append((a, b, kind))
-        open_vm = self._open_vm.get(cpu_id)
-        if open_vm is not None and open_vm < t1:
-            segs.append((open_vm, t1, "vcpu"))
+        open_vm = self._pairs.open.get(("slice", cpu_id))
+        if open_vm is not None and open_vm.begin.ts_ns < t1:
+            segs.append((open_vm.begin.ts_ns, t1, "vcpu"))
         open_dp = self._open_dp.get(cpu_id)
         if open_dp is not None and open_dp < t1:
             segs.append((open_dp, t1, "dp"))
@@ -700,46 +689,44 @@ def build_span_trees(events):
     critical-path ``parts`` (from the root's ``span.end``), and
     ``complete`` (False when the capture ended mid-request).
     """
-    trees = {}
-    open_spans = {}
+    pairer = Pairer()
+    requests = {}              # request id -> its spans, in begin order
     for event in events:
-        kind = event.kind
-        if kind == "span.begin":
-            detail = event.detail
-            request_id = detail.get("request")
-            tree = trees.setdefault(request_id, {
-                "request": request_id, "channel": None, "spans": [],
-                "parts": [], "begin_ns": None, "end_ns": None,
-                "duration_ns": None, "complete": False,
-            })
-            span = {
-                "span": detail.get("span"),
-                "request": request_id,
-                "parent": detail.get("parent"),
-                "name": detail.get("name"),
-                "begin_ns": event.ts_ns,
-                "end_ns": None,
-            }
-            tree["spans"].append(span)
-            open_spans[span["span"]] = (tree, span)
-            if span["parent"] is None:
-                tree["channel"] = detail.get("channel")
-                tree["begin_ns"] = event.ts_ns
-        elif kind == "span.end":
-            detail = event.detail
-            entry = open_spans.pop(detail.get("span"), None)
-            if entry is None:
-                continue
-            tree, span = entry
-            span["end_ns"] = event.ts_ns
-            if span["parent"] is None:
-                tree["end_ns"] = event.ts_ns
-                tree["duration_ns"] = detail.get(
-                    "duration_ns", event.ts_ns - span["begin_ns"])
+        interval = pairer.feed(event)
+        if (interval is not None and interval.what == "span"
+                and interval.end is None):
+            requests.setdefault(interval.begin.detail.get("request"),
+                                []).append(interval)
+    return {request_id: _span_tree(request_id, spans)
+            for request_id, spans in requests.items()}
+
+
+def _span_tree(request_id, spans):
+    tree = {"request": request_id, "channel": None, "spans": [],
+            "parts": [], "begin_ns": None, "end_ns": None,
+            "duration_ns": None, "complete": False}
+    for interval in spans:
+        begin, end = interval.begin, interval.end
+        detail = begin.detail
+        tree["spans"].append({
+            "span": detail.get("span"),
+            "request": request_id,
+            "parent": detail.get("parent"),
+            "name": detail.get("name"),
+            "begin_ns": begin.ts_ns,
+            "end_ns": None if end is None else end.ts_ns,
+        })
+        if detail.get("parent") is None:
+            tree["channel"] = detail.get("channel")
+            tree["begin_ns"] = begin.ts_ns
+            if end is not None:
+                tree["end_ns"] = end.ts_ns
+                tree["duration_ns"] = end.detail.get(
+                    "duration_ns", end.ts_ns - begin.ts_ns)
                 tree["parts"] = [list(part)
-                                 for part in detail.get("parts", [])]
+                                 for part in end.detail.get("parts", [])]
                 tree["complete"] = True
-    return trees
+    return tree
 
 
 def critical_path_report(trees, exemplar_k=DEFAULT_EXEMPLAR_K):

@@ -51,6 +51,20 @@ def test_straddling_open_clamped_without_start_ns():
     assert occupancy_spans(timeline, start_ns=300)[0] == [(300, 700, "x")]
 
 
+def test_slice_nested_in_a_stint_keeps_both_and_draws_the_slice():
+    # A vCPU slice runs inside the stint of the thread that lent its CPU.
+    timeline = Tracer(enabled=True)
+    timeline.record(0, 0, "sched_in", thread="dp")
+    timeline.record(0, 0, "vmenter", vcpu="v0")
+    timeline.record(600, 0, "vmexit", vcpu="v0", reason="halt")
+    timeline.record(600, 0, "sched_out", thread="dp", outcome="blocked")
+    timeline.record(900, 1, "enqueue", thread="x")
+    assert occupancy_spans(timeline)[0] == [(0, 600, "v"), (0, 600, "d")]
+    row = next(line for line in render_gantt(timeline, 0, 1000, width=10)
+               .splitlines() if line.startswith("cpu 0"))
+    assert row.endswith("vvvvvvv...")
+
+
 def test_render_notes_dropped_events():
     timeline = Tracer(cap=4, enabled=True)
     for ts in range(0, 800, 100):

@@ -349,6 +349,26 @@ def test_span_pairing_checker_flags_violations():
     ]) == []
 
 
+def test_span_pairing_checks_the_end_name_and_the_root_parts():
+    def messages(*events):
+        return [violation.message for violation in
+                check_events(events, checkers=[SpanPairingChecker()])]
+
+    begin = _ev(0, "span.begin", span="r#0", request="r", name="root")
+    (renamed,) = messages(begin, _ev(5, "span.end", span="r#0",
+                                     request="r", name="other"))
+    assert "name='other'" in renamed and "name='root'" in renamed
+
+    def root_end(*parts):
+        return _ev(100, "span.end", span="r#0", request="r", name="root",
+                   duration_ns=100, parts=[list(part) for part in parts])
+
+    assert messages(begin, root_end(("wait", 0, 60), ("serve", 60, 90))) == [
+        "span 'r#0' parts sum to 90 ns but its duration_ns is 100 ns"]
+    assert messages(begin, root_end(("wait", 0, 60), ("serve", 60, 100))) \
+        == []
+
+
 # -- end-to-end through the soak driver ----------------------------------------
 
 
